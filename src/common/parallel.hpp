@@ -1,12 +1,16 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Minimal blocked parallel-for over an index range.
+/// Minimal dynamically scheduled parallel-for over an index range.
 ///
 /// The per-node stages (local MDS + unit-ball test) are embarrassingly
 /// parallel and read-only over shared state, so a plain thread split is all
-/// the machinery we need — no pools, no work stealing.
+/// the machinery we need — no pools, no work stealing. Indices are handed
+/// out in small chunks from one atomic counter, so a range of unequal work
+/// items (a few shards, or frames of very different sizes) balances across
+/// the workers instead of serializing on the slowest contiguous block.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <exception>
@@ -16,10 +20,12 @@
 
 namespace ballfit {
 
-/// Invokes `fn(i)` for every i in [0, count). With `threads <= 1` (or a
-/// tiny range) runs inline; otherwise splits the range into contiguous
-/// blocks, one per worker. `fn` must be safe to call concurrently on
-/// distinct indices.
+/// Invokes `fn(i)` for every i in [0, count). With `threads <= 1` or
+/// `count <= 1` runs inline; otherwise starts `min(count, threads)`
+/// workers that claim chunks of `ceil(count / (8 * threads))` consecutive
+/// indices from a shared counter until the range is exhausted. Which worker
+/// runs an index is unspecified, so `fn` must be safe to call concurrently
+/// on distinct indices and must not depend on the assignment.
 ///
 /// Exception-safe: if `fn` throws on a worker, the first exception is
 /// captured and rethrown on the joining thread (a throw that escaped a
@@ -27,25 +33,32 @@ namespace ballfit {
 /// next index, so not every index is necessarily visited after a failure.
 template <typename Fn>
 void parallel_for(std::size_t count, Fn&& fn, unsigned threads) {
-  if (threads <= 1 || count < 2 * threads) {
+  if (threads <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
+  const std::size_t num_workers =
+      std::min<std::size_t>(count, static_cast<std::size_t>(threads));
+  const std::size_t slots = 8 * static_cast<std::size_t>(threads);
+  const std::size_t chunk = (count + slots - 1) / slots;
+  std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::atomic<bool> failed{false};
-  const std::size_t block = (count + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::size_t begin = static_cast<std::size_t>(t) * block;
-    const std::size_t end = std::min(count, begin + block);
-    if (begin >= end) break;
-    workers.emplace_back([&, begin, end] {
+  std::vector<std::thread> workers;
+  workers.reserve(num_workers);
+  for (std::size_t t = 0; t < num_workers; ++t) {
+    workers.emplace_back([&] {
       try {
-        for (std::size_t i = begin;
-             i < end && !failed.load(std::memory_order_relaxed); ++i) {
-          fn(i);
+        while (!failed.load(std::memory_order_relaxed)) {
+          const std::size_t begin =
+              next.fetch_add(chunk, std::memory_order_relaxed);
+          if (begin >= count) break;
+          const std::size_t end = std::min(count, begin + chunk);
+          for (std::size_t i = begin;
+               i < end && !failed.load(std::memory_order_relaxed); ++i) {
+            fn(i);
+          }
         }
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);

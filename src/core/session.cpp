@@ -338,99 +338,51 @@ NetworkDelta DetectionSession::advance_faults(std::size_t rounds) {
   return sync_fault_state();
 }
 
-void DetectionSession::run_ubf_stages(const PipelineConfig& config,
-                                      const UbfConfig& ubf_config,
-                                      unsigned threads,
-                                      PipelineResult& result) {
-  const std::size_t n = network_->num_nodes();
-  const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
-
-  if (config.use_true_coordinates) {
-    // No Measure/Localize artifacts: the oracle reads true positions. The
-    // artifact is keyed on the full config + the alive epoch; any topology
-    // change recomputes it outright (the oracle sweep is cheap).
-    Fingerprint core;
-    core.u64(2);  // true-coordinates artifact tag
-    mix_ubf_core(core, ubf_config);
-    Fingerprint full;
-    full.u64(core.value());
-    full.boolean(ubf_config.degenerate_is_boundary);
-    full.u64(alive_epoch_);
-    if (ubf_valid_ && ubf_full_fp_ == full.value()) {
-      ++stats_.ubf.cache_hits;
-      note_stage("ubf", "cache_hits");
-    } else {
-      BALLFIT_SPAN("ubf");
-      const UnitBallFitting ubf(*network_, ubf_config);
-      // Confidence rides along only when someone is observing; it never
-      // feeds back into the flags, so the artifact key ignores it.
-      std::vector<float>* conf_out =
-          obs::enabled() ? &ubf_confidence_ : nullptr;
-      if (conf_out == nullptr) ubf_confidence_.clear();
-      ubf_candidates_ = ubf.detect_with_true_coordinates(
-          &frame_fallbacks_, alive_mask, conf_out);
-      ubf_flags_.assign(n, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ubf_flags_[i] = ubf_candidates_[i] ? 1 : 0;
-      }
-      ubf_full_fp_ = full.value();
-      ubf_core_fp_ = 0;
-      ubf_valid_ = true;
-      ubf_partial_ok_ = false;  // partial updates are a frame-path feature
-      std::fill(ubf_dirty_.begin(), ubf_dirty_.end(), 0);
-      ++stats_.ubf.full_runs;
-      note_stage("ubf", "full_runs");
-    }
-    result.ubf_candidates = ubf_candidates_;
-    result.ubf_confidence = ubf_confidence_;
-    result.frame_fallbacks = frame_fallbacks_;
-    return;
-  }
-
+void DetectionSession::run_measure_stage(const PipelineConfig& config) {
   // --- Measure: noise model + localizer (includes the per-edge
   // measurement cache). Keyed on (measurement_error, noise_seed) plus the
   // full localizer config — the localizer object embeds it, and every
   // downstream frame artifact chains off `measure_version_`, so runs at
   // different equivalence tiers (or any other localizer setting) can never
   // share cached frames.
-  {
-    Fingerprint fp;
-    fp.f64(config.measurement_error);
-    fp.u64(config.noise_seed);
-    mix_localizer_config(fp, config.localizer);
-    if (measure_valid_ && measure_fp_ == fp.value() && !measure_stale_) {
-      ++stats_.measure.cache_hits;
-      note_stage("measure", "cache_hits");
-    } else if (measure_valid_ && measure_fp_ == fp.value()) {
-      // Same noise law, moved geometry: re-materialize the per-edge cache
-      // against the rebuilt CSR adjacency. The noise draw is keyed on
-      // (seed, node-id pair), so every unmoved pair measures bit-identical
-      // — measure_version_ stays put and frames outside the move's dirty
-      // set remain valid.
-      BALLFIT_SPAN("measurement");
-      model_.emplace(*network_, config.measurement_error, config.noise_seed);
-      localizer_.emplace(*network_, *model_, config.localizer);
-      measure_stale_ = false;
-      ++stats_.measure.partial_runs;
-      note_stage("measure", "partial_runs");
-    } else {
-      BALLFIT_SPAN("measurement");
-      model_.emplace(*network_, config.measurement_error, config.noise_seed);
-      localizer_.emplace(*network_, *model_, config.localizer);
-      measure_fp_ = fp.value();
-      measure_valid_ = true;
-      measure_stale_ = false;
-      ++measure_version_;  // downstream keys reference the new artifact
-      ++stats_.measure.full_runs;
-      note_stage("measure", "full_runs");
-    }
+  Fingerprint fp;
+  fp.f64(config.measurement_error);
+  fp.u64(config.noise_seed);
+  mix_localizer_config(fp, config.localizer);
+  if (measure_valid_ && measure_fp_ == fp.value() && !measure_stale_) {
+    ++stats_.measure.cache_hits;
+    note_stage("measure", "cache_hits");
+  } else if (measure_valid_ && measure_fp_ == fp.value()) {
+    // Same noise law, moved geometry: re-materialize the per-edge cache
+    // against the rebuilt CSR adjacency. The noise draw is keyed on
+    // (seed, node-id pair), so every unmoved pair measures bit-identical
+    // — measure_version_ stays put and frames outside the move's dirty
+    // set remain valid.
+    BALLFIT_SPAN("measurement");
+    model_.emplace(*network_, config.measurement_error, config.noise_seed);
+    localizer_.emplace(*network_, *model_, config.localizer);
+    measure_stale_ = false;
+    ++stats_.measure.partial_runs;
+    note_stage("measure", "partial_runs");
+  } else {
+    BALLFIT_SPAN("measurement");
+    model_.emplace(*network_, config.measurement_error, config.noise_seed);
+    localizer_.emplace(*network_, *model_, config.localizer);
+    measure_fp_ = fp.value();
+    measure_valid_ = true;
+    measure_stale_ = false;
+    ++measure_version_;  // downstream keys reference the new artifact
+    ++stats_.measure.full_runs;
+    note_stage("measure", "full_runs");
   }
+}
 
-  BALLFIT_SPAN("ubf");
-
+void DetectionSession::run_localize_stage(const UbfConfig& ubf_config,
+                                          unsigned threads) {
   // --- Localize: one frame per node. Keyed on (measure artifact, scope)
   // plus the alive epoch; an epoch mismatch with a matching key re-embeds
   // the dirty neighborhoods only.
+  const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
   const bool two_hop = ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
   std::uint64_t frames_key = 0;
   {
@@ -443,77 +395,117 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
       frames_epoch_ == alive_epoch_) {
     ++stats_.localize.cache_hits;
     note_stage("localize", "cache_hits");
-  } else {
-    BALLFIT_SPAN("mds_frames");
-    const localization::FrameScope scope = two_hop
-                                               ? localization::FrameScope::kTwoHop
-                                               : localization::FrameScope::kOneHop;
-    // Same key + older epoch: the frames differ only inside the dirty
-    // neighborhoods accumulated by apply(). Each frame is a pure function
-    // of (network, model, scope, alive), so the partial rebuild is
-    // bit-identical to a full one.
-    if (frames_valid_ && frames_key_ == frames_key) {
-      stats_.last_frames_rebuilt = count_marks(frames_dirty_);
-      // A partial rebuild refreshes only the dirty frames, so its effort
-      // stats describe a fragment; fold them into the artifact's totals
-      // rather than replacing them.
-      localization::FrameBuildStats partial;
-      localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                     alive_mask, &frames_dirty_, &partial);
-      loc_stats_.merge(partial);
-      ++stats_.localize.partial_runs;
-      note_stage("localize", "partial_runs");
-      if (obs::enabled()) {
-        obs::Registry::global()
-            .gauge("session.frames_rebuilt")
-            .set(static_cast<double>(stats_.last_frames_rebuilt));
-      }
-    } else {
-      frames_.clear();
-      loc_stats_ = {};
-      localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                     alive_mask, nullptr, &loc_stats_);
-      ++stats_.localize.full_runs;
-      note_stage("localize", "full_runs");
+    return;
+  }
+  BALLFIT_SPAN("mds_frames");
+  const localization::FrameScope scope =
+      two_hop ? localization::FrameScope::kTwoHop
+              : localization::FrameScope::kOneHop;
+  // Same key + older epoch: the frames differ only inside the dirty
+  // neighborhoods accumulated by apply(). Each frame is a pure function
+  // of (network, model, scope, alive), so the partial rebuild is
+  // bit-identical to a full one.
+  if (frames_valid_ && frames_key_ == frames_key) {
+    stats_.last_frames_rebuilt = count_marks(frames_dirty_);
+    // A partial rebuild refreshes only the dirty frames, so its effort
+    // stats describe a fragment; fold them into the artifact's totals
+    // rather than replacing them.
+    localization::FrameBuildStats partial;
+    localization::build_all_frames(*localizer_, scope, frames_, threads,
+                                   alive_mask, &frames_dirty_, &partial);
+    loc_stats_.merge(partial);
+    ++stats_.localize.partial_runs;
+    note_stage("localize", "partial_runs");
+    if (obs::enabled()) {
+      obs::Registry::global()
+          .gauge("session.frames_rebuilt")
+          .set(static_cast<double>(stats_.last_frames_rebuilt));
     }
-    frames_key_ = frames_key;
-    frames_epoch_ = alive_epoch_;
-    frames_valid_ = true;
-    ++frames_version_;
-    std::fill(frames_dirty_.begin(), frames_dirty_.end(), 0);
+  } else {
+    frames_.clear();
+    loc_stats_ = {};
+    localization::build_all_frames(*localizer_, scope, frames_, threads,
+                                   alive_mask, nullptr, &loc_stats_);
+    ++stats_.localize.full_runs;
+    note_stage("localize", "full_runs");
   }
+  frames_key_ = frames_key;
+  frames_epoch_ = alive_epoch_;
+  frames_valid_ = true;
+  ++frames_version_;
+  std::fill(frames_dirty_.begin(), frames_dirty_.end(), 0);
+}
 
-  // Fallback count is a pure function of (frames, alive): the nodes that
-  // would vote the degenerate default. Recounted here so cache hits report
-  // the same value a fresh run would.
-  frame_fallbacks_ = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (alive_[i] != 0 && !frames_[i].ok) ++frame_fallbacks_;
-  }
+void DetectionSession::run_ubf_stages(const PipelineConfig& config,
+                                      const UbfConfig& ubf_config,
+                                      unsigned threads,
+                                      PipelineResult& result) {
+  const std::size_t n = network_->num_nodes();
+  const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
+  // True coordinates need no Measure/Localize artifacts: the oracle reads
+  // the positions directly. Both coordinate sources share the UBF artifact
+  // logic below — keys, partial re-tests and the degenerate-vote rule.
+  const bool true_coords = config.use_true_coordinates;
+  if (!true_coords) run_measure_stage(config);
+  BALLFIT_SPAN("ubf");
+  if (!true_coords) run_localize_stage(ubf_config, threads);
 
-  // --- UBF ball test + witness cross-verification.
+  // --- UBF ball test (+ witness cross-verification on frames).
+  // Core key: everything the per-node decision reads except the
+  // degenerate vote and the per-node inputs, which dirty tracking covers.
   Fingerprint core;
-  core.u64(1);  // frame-path artifact tag
-  core.u64(frames_key_);
+  if (true_coords) {
+    core.u64(2);  // true-coordinates artifact tag
+  } else {
+    core.u64(1);  // frame-path artifact tag
+    core.u64(frames_key_);
+  }
   mix_ubf_core(core, ubf_config);
   // With escalation on, confidence stops being pure telemetry — the effort
   // planner reads it — so the artifact key must distinguish escalate-on
   // builds (confidence always collected, full-sized) from escalate-off
   // ones (obs-gated, possibly absent). Keyed in the *core* key so an
   // escalate-on run never partial-resumes from a confidence-less artifact.
-  core.boolean(config.escalate.enabled);
+  // True-coordinates runs never escalate.
+  const bool escalating = !true_coords && config.escalate.enabled;
+  core.boolean(escalating);
+  // Full key: the core plus the degenerate vote and the version of the
+  // per-node inputs — the frames (which follow the alive set) or, on true
+  // coordinates, the alive set and positions themselves.
   Fingerprint full;
   full.u64(core.value());
   full.boolean(ubf_config.degenerate_is_boundary);
-  full.u64(frames_version_);
-  if (ubf_valid_ && ubf_full_fp_ == full.value()) {
+  full.u64(true_coords ? alive_epoch_ : frames_version_);
+  const bool hit = ubf_valid_ && ubf_full_fp_ == full.value();
+  const bool partial = !hit && ubf_valid_ && ubf_core_fp_ == core.value() &&
+                       ubf_flags_.size() == n;
+
+  // Alive nodes the ball test cannot run on vote `degenerate_is_boundary`
+  // instead: no usable frame, or fewer than 3 alive neighbors on true
+  // coordinates. They are the fallbacks — recounted every run, so cache
+  // hits report what a fresh run would — and the only readers of the
+  // degenerate vote, which the core key deliberately omits, so every
+  // partial run re-tests them.
+  const auto degenerate = [&](net::NodeId i) {
+    if (!true_coords) return !frames_[i].ok;
+    std::size_t alive_neighbors = 0;
+    for (const net::NodeId v : network_->neighbors(i)) {
+      if (alive_[v] != 0 && ++alive_neighbors == 3) return false;
+    }
+    return true;
+  };
+  frame_fallbacks_ = 0;
+  for (net::NodeId i = 0; i < n; ++i) {
+    if (alive_[i] == 0 || !degenerate(i)) continue;
+    ++frame_fallbacks_;
+    if (partial) ubf_dirty_[i] = 1;
+  }
+
+  if (hit) {
     ++stats_.ubf.cache_hits;
     note_stage("ubf", "cache_hits");
   } else {
     const UnitBallFitting ubf(*network_, ubf_config);
-    const bool partial = ubf_valid_ && ubf_partial_ok_ &&
-                         ubf_core_fp_ == core.value() &&
-                         ubf_flags_.size() == n;
     // Obs-gated confidence companion — forced on when the Escalate stage
     // will read it. A partial run can only update the entries it re-tests,
     // so it needs a full-sized carry-over; when the previous artifact had
@@ -522,22 +514,26 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     // lives in the core key, so an escalate-on partial never resumes from
     // a confidence-less artifact.)
     std::vector<float>* conf_out = nullptr;
-    if (obs::enabled() || config.escalate.enabled) {
+    if (obs::enabled() || escalating) {
       if (ubf_confidence_.size() != n) ubf_confidence_.assign(n, 0.0f);
       conf_out = &ubf_confidence_;
     } else {
       ubf_confidence_.clear();
     }
+    // Partial: re-test the dirty neighborhoods (the 3-hop reach of every
+    // change — a superset of what a frame-path flag and a true-coordinates
+    // flag read) plus the degenerate nodes marked above.
+    const std::vector<char>* run_mask = partial ? &ubf_dirty_ : nullptr;
+    if (!partial) ubf_flags_.assign(n, 0);
+    if (true_coords) {
+      ubf.detect_with_true_coordinates(ubf_flags_, alive_mask, run_mask,
+                                       conf_out);
+    } else {
+      ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask, run_mask,
+                                 threads, conf_out);
+    }
     if (partial) {
-      // Re-test the dirty neighborhoods plus every alive node without a
-      // usable frame — the only readers of the degenerate vote, which the
-      // core key deliberately omits.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (alive_[i] != 0 && !frames_[i].ok) ubf_dirty_[i] = 1;
-      }
       stats_.last_nodes_retested = count_marks(ubf_dirty_);
-      ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask,
-                                 &ubf_dirty_, threads, conf_out);
       ++stats_.ubf.partial_runs;
       note_stage("ubf", "partial_runs");
       if (obs::enabled()) {
@@ -546,9 +542,6 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
             .set(static_cast<double>(stats_.last_nodes_retested));
       }
     } else {
-      ubf_flags_.assign(n, 0);
-      ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask,
-                                 /*run_mask=*/nullptr, threads, conf_out);
       ++stats_.ubf.full_runs;
       note_stage("ubf", "full_runs");
     }
@@ -559,22 +552,21 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     ubf_full_fp_ = full.value();
     ubf_core_fp_ = core.value();
     ubf_valid_ = true;
-    ubf_partial_ok_ = true;
     std::fill(ubf_dirty_.begin(), ubf_dirty_.end(), 0);
   }
   result.ubf_candidates = ubf_candidates_;
   result.ubf_confidence = ubf_confidence_;
   result.frame_fallbacks = frame_fallbacks_;
-  result.localize_stats = loc_stats_;
+  if (!true_coords) result.localize_stats = loc_stats_;
 }
 
-bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
+void DetectionSession::run_escalate_stage(const PipelineConfig& config,
                                           const UbfConfig& ubf_config,
                                           unsigned threads,
                                           PipelineResult& result) {
   if (!config.escalate.enabled || config.use_true_coordinates) {
     esc_valid_ = false;
-    return false;
+    return;
   }
   const std::size_t n = network_->num_nodes();
 
@@ -757,7 +749,6 @@ bool DetectionSession::run_escalate_stage(const PipelineConfig& config,
   result.ubf_candidates = esc_candidates_;
   result.ubf_confidence = esc_confidence_;
   result.effort = esc_stats_;
-  return true;
 }
 
 void DetectionSession::run_filter_stages(const PipelineConfig& config,
@@ -891,8 +882,7 @@ void DetectionSession::run_filter_stages(const PipelineConfig& config,
   result_fp_ = fp.value();
 }
 
-PipelineResult DetectionSession::run(const PipelineConfig& config) {
-  BALLFIT_SPAN("pipeline");
+PipelineResult DetectionSession::run_candidates(const PipelineConfig& config) {
   const std::size_t n = network_->num_nodes();
   const unsigned threads =
       config.threads == 0 ? default_threads() : config.threads;
@@ -924,19 +914,24 @@ PipelineResult DetectionSession::run(const PipelineConfig& config) {
 
   PipelineResult result;
   run_ubf_stages(config, ubf_config, threads, result);
-  const bool escalated =
-      run_escalate_stage(config, ubf_config, threads, result);
-  run_filter_stages(config, faulted,
-                    escalated ? esc_candidates_ : ubf_candidates_,
-                    escalated ? esc_confidence_ : ubf_confidence_, result);
+  run_escalate_stage(config, ubf_config, threads, result);
 
   if (masked_) result.crashed_nodes = n - num_alive_;
   if (faulted) result.fault_stats.crashed = fault_model_->num_down();
+  return result;
+}
+
+PipelineResult DetectionSession::run(const PipelineConfig& config) {
+  BALLFIT_SPAN("pipeline");
+  PipelineResult result = run_candidates(config);
+  const bool faulted = config.faults.has_value() && config.faults->any();
+  run_filter_stages(config, faulted, result.ubf_candidates,
+                    result.ubf_confidence, result);
 
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
     reg.counter("pipeline.runs").add(1);
-    reg.counter("pipeline.nodes").add(n);
+    reg.counter("pipeline.nodes").add(network_->num_nodes());
     reg.counter("pipeline.ubf_candidates").add(result.num_candidates());
     reg.counter("pipeline.boundary_nodes").add(result.num_boundary());
     reg.counter("pipeline.frame_fallbacks").add(result.frame_fallbacks);

@@ -42,9 +42,11 @@
 /// revived, or moved. Frames are re-embedded only inside the two-hop reach
 /// of the changed nodes (a frame's membership is a subset of its owner's
 /// two-hop neighborhood), the ball test re-runs only there plus one extra
-/// witness hop, and the cheap whole-network floods (IFF, grouping) always
-/// re-run. This mirrors the paper's localized semantics: a crash is
-/// invisible beyond the neighborhoods that could hear the node. A move
+/// witness hop — on true coordinates too, where a flag reads the alive
+/// positions within two hops — and the cheap whole-network floods (IFF,
+/// grouping) re-run whenever their inputs changed. This mirrors the
+/// paper's localized semantics: a crash is invisible beyond the
+/// neighborhoods that could hear the node. A move
 /// dirties both the node's old and new neighborhoods; the adjacency itself
 /// is rebuilt locally by `net::Network::apply_moves`, which requires the
 /// session to have been constructed with a mutable network.
@@ -139,6 +141,16 @@ class DetectionSession {
   /// pipeline.* counters of a fresh run for stages that execute.
   PipelineResult run(const PipelineConfig& config = {});
 
+  /// The candidate prefix of `run`: fault sync, then Measure → Localize →
+  /// UBF → Escalate, through the same caches. Returns what `run` returns
+  /// up to the filter stages — `ubf_candidates` and `ubf_confidence` (the
+  /// escalated ones when that stage ran), `frame_fallbacks`,
+  /// `localize_stats`, `effort`, `crashed_nodes` and the fault crash count
+  /// — with `boundary` and `groups` empty. Opens no span and publishes no
+  /// pipeline.* counter of its own. `ShardedDetector` runs this on each
+  /// shard and recomputes IFF and grouping seam-exactly itself.
+  PipelineResult run_candidates(const PipelineConfig& config = {});
+
   /// Applies a crash/revive/move delta and dirties the affected
   /// neighborhoods. The next `run` re-embeds frames only within two hops
   /// of the changed nodes and re-tests only those plus their witnesses
@@ -169,15 +181,21 @@ class DetectionSession {
   std::uint64_t result_fingerprint() const { return result_fp_; }
 
  private:
+  /// Measure artifact (frame path only).
+  void run_measure_stage(const PipelineConfig& config);
+  /// Localize artifact (frame path only): full or dirty-set rebuild.
+  void run_localize_stage(const UbfConfig& ubf_config, unsigned threads);
+  /// UBF on either coordinate source (running Measure and Localize first
+  /// on the frame path): cache hit, partial re-test of the dirty set, or
+  /// full run.
   void run_ubf_stages(const PipelineConfig& config,
                       const UbfConfig& ubf_config, unsigned threads,
                       PipelineResult& result);
-  /// The opt-in Escalate stage (see the stage-graph comment). Returns true
-  /// when it produced an artifact — the caller then feeds the escalated
-  /// flags/confidence to the filter stages instead of the UBF artifact.
-  /// Returns false (and invalidates the artifact) when disabled or on the
-  /// true-coordinates path.
-  bool run_escalate_stage(const PipelineConfig& config,
+  /// The opt-in Escalate stage (see the stage-graph comment). When it
+  /// runs, it overwrites `result`'s candidates and confidence with the
+  /// escalated ones, which the filter stages then consume. Invalidates the
+  /// artifact when disabled or on the true-coordinates path.
+  void run_escalate_stage(const PipelineConfig& config,
                           const UbfConfig& ubf_config, unsigned threads,
                           PipelineResult& result);
   /// `candidates`/`confidence` are the effective per-node inputs — the UBF
@@ -263,17 +281,17 @@ class DetectionSession {
   /// it never influences flags, so cache identity ignores it.
   std::vector<float> ubf_confidence_;
   std::size_t frame_fallbacks_ = 0;
-  /// Exact-hit key: core key + degenerate vote + frames_version/epoch.
+  /// Exact-hit key: core key + degenerate vote + the version of the
+  /// per-node inputs (frames_version_, or alive_epoch_ on true coordinates).
   std::uint64_t ubf_full_fp_ = 0;
   /// Partial-run key: everything the per-node decision reads except the
-  /// degenerate vote (only not-ok frames read it; those nodes join every
-  /// partial run) and the frame contents (covered by dirty tracking).
+  /// degenerate vote (only degenerate nodes read it; they join every
+  /// partial run) and the per-node inputs (covered by dirty tracking).
   std::uint64_t ubf_core_fp_ = 0;
   bool ubf_valid_ = false;
-  /// Partial runs are only sound on the noisy frame path; a true-coords
-  /// artifact is recomputed in full when the alive set changes.
-  bool ubf_partial_ok_ = false;
-  /// Nodes whose flag must be recomputed (dirty frames + one witness hop).
+  /// Nodes whose flag must be recomputed: the 3-hop reach of every change,
+  /// which covers dirty frames + one witness hop on the frame path and the
+  /// 2-hop neighborhood a true-coordinates flag reads.
   std::vector<char> ubf_dirty_;
 
   // --- Escalate artifact (opt-in; empty/invalid unless the last run had

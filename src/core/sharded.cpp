@@ -1,6 +1,7 @@
 #include "core/sharded.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 #include "common/stopwatch.hpp"
 #include "geom/aabb.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ballfit::core {
 
@@ -97,6 +99,21 @@ CellLattice make_lattice(const net::Network& network,
   return lat;
 }
 
+/// Everything a shard's IFF or grouping flood reads besides the shard
+/// subnetwork — keyed like the session's IFF and Group stages. Grouping
+/// leaves the IFF-only fields at their defaults.
+struct FloodKey {
+  std::vector<bool> input;  ///< the shard's local input flags
+  std::uint32_t theta = 0;
+  std::uint32_t ttl = 0;
+  bool message_passing = false;
+  std::uint32_t repeat = 0;
+  bool counts = false;  ///< per-node IFF counts collected (obs on)
+  std::uint64_t topology = 0;
+
+  bool operator==(const FloodKey&) const = default;
+};
+
 }  // namespace
 
 struct ShardedDetector::Shard {
@@ -109,6 +126,20 @@ struct ShardedDetector::Shard {
   std::vector<NodeId> owned_local;  ///< local ids of owned nodes, ascending
   std::optional<DetectionSession> session;
   ShardInfo info;
+  /// Bumped by every move routed to this shard: adjacency identity for the
+  /// flood caches (equal flags alone cannot see an edge change).
+  std::uint64_t topology_version = 0;
+
+  // Single-entry caches of the phase-2 IFF and phase-3 grouping floods.
+  // Each artifact is a pure function of (subnetwork, key), so a key match
+  // reuses it bit for bit.
+  std::optional<FloodKey> iff_key;
+  std::vector<bool> iff_verdicts;         ///< local ids
+  std::vector<std::uint32_t> iff_counts;  ///< local ids; empty unless obs
+  sim::RunStats iff_stats;
+  std::optional<FloodKey> group_key;
+  std::vector<std::vector<NodeId>> groups;  ///< global ids
+  sim::RunStats group_stats;
 
   NodeId local_of(NodeId g) const {
     const auto it =
@@ -121,6 +152,7 @@ struct ShardedDetector::Shard {
 ShardedDetector::ShardedDetector(const net::Network& network,
                                  ShardedConfig config)
     : network_(&network), config_(config) {
+  BALLFIT_SPAN("shard.partition");
   const std::size_t n = network.num_nodes();
   BALLFIT_REQUIRE(n > 0, "cannot shard an empty network");
   BALLFIT_REQUIRE(config_.halo_hops >= 3,
@@ -294,27 +326,30 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
       config_.threads == 0 ? default_threads() : config_.threads;
   const bool obs_on = obs::enabled();
 
-  // Phase-1 config: sessions parallelize across shards, not within; the
-  // per-shard IFF/Group results are discarded (recomputed seam-exactly in
-  // phases 2–3), so run the cheap oracle flood and skip grouping. The
-  // degenerate-vote flip must mirror the unsharded session, which flips on
-  // ANY dead node — a fully-alive shard would otherwise keep the
-  // optimistic vote while the global run does not.
+  // Phase 1: each shard runs its session's candidate prefix (Measure →
+  // Localize → UBF → Escalate); IFF and grouping are recomputed
+  // seam-exactly in phases 2–3. Sessions parallelize across shards, not
+  // within. The degenerate-vote flip must mirror the unsharded session,
+  // which flips on ANY dead node — a fully-alive shard would otherwise keep
+  // the optimistic vote while the global run does not.
   PipelineConfig shard_cfg = config;
   shard_cfg.threads = 1;
-  shard_cfg.group = false;
-  shard_cfg.iff.use_message_passing = false;
   if (num_alive_ < n) shard_cfg.ubf.degenerate_is_boundary = false;
 
   std::vector<PipelineResult> phase1(num_shards);
-  parallel_for(
-      num_shards,
-      [&](std::size_t s) {
-        Stopwatch clock;
-        phase1[s] = shards_[s]->session->run(shard_cfg);
-        shards_[s]->info.last_detect_ms = clock.elapsed_ms();
-      },
-      threads);
+  {
+    BALLFIT_SPAN("shard.candidates");
+    const std::string parent = obs::current_span_path();
+    parallel_for(
+        num_shards,
+        [&](std::size_t s) {
+          const obs::SpanPathScope adopt(parent);
+          Stopwatch clock;
+          phase1[s] = shards_[s]->session->run_candidates(shard_cfg);
+          shards_[s]->info.last_detect_ms = clock.elapsed_ms();
+        },
+        threads);
+  }
 
   // Halo exchange 1: owned UBF candidate flags (exact — see sharded.hpp)
   // into one global vector. Sequential: vector<bool> writes are not
@@ -348,31 +383,52 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
   }
   result.frame_fallbacks = fallbacks;
 
+  // The shard's view of a global flag vector, in local ids.
+  const auto local_flags = [](const Shard& shard,
+                              const std::vector<bool>& global) {
+    std::vector<bool> local(shard.to_global.size());
+    for (std::size_t l = 0; l < local.size(); ++l) {
+      local[l] = global[shard.to_global[l]];
+    }
+    return local;
+  };
+
   // Phase 2: seam-exact IFF. Each shard floods the exchanged exact
   // candidate flags over its subnetwork; owned verdicts and counts equal
   // the global flood because every ttl-bounded candidate path reaching an
-  // owned node stays inside the halo.
+  // owned node stays inside the halo. A shard whose local input is
+  // unchanged reuses its last flood.
   sim::ProtocolOptions proto;
   proto.repeat = config.flood_repeat;
-  std::vector<std::vector<bool>> iff_local(num_shards);
-  std::vector<std::vector<std::uint32_t>> counts_local(num_shards);
-  std::vector<sim::RunStats> iff_stats(num_shards);
-  parallel_for(
-      num_shards,
-      [&](std::size_t s) {
-        const Shard& shard = *shards_[s];
-        const std::size_t m = shard.to_global.size();
-        std::vector<bool> cand(m);
-        for (std::size_t l = 0; l < m; ++l) {
-          cand[l] = result.ubf_candidates[shard.to_global[l]];
-        }
-        std::vector<std::uint32_t> counts;
-        iff_local[s] =
-            iff_filter(shard.net, cand, config.iff, &iff_stats[s], proto,
-                       obs_on ? &counts : nullptr);
-        counts_local[s] = std::move(counts);
-      },
-      threads);
+  std::atomic<std::uint64_t> iff_reused{0};
+  {
+    BALLFIT_SPAN("shard.iff");
+    parallel_for(
+        num_shards,
+        [&](std::size_t s) {
+          Shard& shard = *shards_[s];
+          FloodKey key;
+          key.input = local_flags(shard, result.ubf_candidates);
+          key.theta = config.iff.theta;
+          key.ttl = config.iff.ttl;
+          key.message_passing = config.iff.use_message_passing;
+          key.repeat = config.flood_repeat;
+          key.counts = obs_on;
+          key.topology = shard.topology_version;
+          if (shard.iff_key == key) {
+            ++iff_reused;
+            return;
+          }
+          shard.iff_key.reset();  // a throw below must not leave a stale hit
+          shard.iff_stats = {};
+          shard.iff_verdicts =
+              iff_filter(shard.net, key.input, config.iff, &shard.iff_stats,
+                         proto, obs_on ? &shard.iff_counts : nullptr);
+          if (!obs_on) shard.iff_counts.clear();
+          shard.iff_key = std::move(key);
+        },
+        threads);
+  }
 
   result.boundary.assign(n, false);
   std::vector<std::uint32_t> counts;
@@ -381,40 +437,53 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
     const Shard& shard = *shards_[s];
     for (NodeId l : shard.owned_local) {
       const NodeId g = shard.to_global[l];
-      result.boundary[g] = iff_local[s][l];
-      if (obs_on) counts[g] = counts_local[s][l];
+      result.boundary[g] = shard.iff_verdicts[l];
+      if (obs_on) counts[g] = shard.iff_counts[l];
     }
-    result.iff_cost += iff_stats[s];
+    result.iff_cost += shard.iff_stats;
   }
 
-  // Phase 3: shard-local grouping on the exchanged exact boundary flags,
-  // then a min-id union-find stitch over global ids. Root tags record
-  // which per-shard group first claimed a component; a union across two
-  // tags is a seam stitch.
+  // Phase 3: shard-local grouping on the exchanged exact boundary flags
+  // (reused when a shard's local boundary is unchanged), then a min-id
+  // union-find stitch over global ids. Root tags record which per-shard
+  // group first claimed a component; a union across two tags is a seam
+  // stitch.
   stitch_merges_ = 0;
+  std::atomic<std::uint64_t> group_reused{0};
   if (config.group) {
-    std::vector<std::vector<std::vector<NodeId>>> groups_local(num_shards);
-    std::vector<sim::RunStats> group_stats(num_shards);
-    parallel_for(
-        num_shards,
-        [&](std::size_t s) {
-          const Shard& shard = *shards_[s];
-          const std::size_t m = shard.to_global.size();
-          std::vector<bool> bnd(m);
-          for (std::size_t l = 0; l < m; ++l) {
-            bnd[l] = result.boundary[shard.to_global[l]];
-          }
-          BoundaryGroups local = group_boundaries(
-              shard.net, bnd, config.iff.use_message_passing,
-              &group_stats[s], proto);
-          groups_local[s].reserve(local.groups.size());
-          for (std::vector<NodeId>& grp : local.groups) {
-            for (NodeId& v : grp) v = shard.to_global[v];
-            groups_local[s].push_back(std::move(grp));
-          }
-        },
-        threads);
+    {
+      BALLFIT_SPAN("shard.group");
+      parallel_for(
+          num_shards,
+          [&](std::size_t s) {
+            Shard& shard = *shards_[s];
+            FloodKey key;
+            key.input = local_flags(shard, result.boundary);
+            key.message_passing = config.iff.use_message_passing;
+            key.repeat = config.flood_repeat;
+            key.topology = shard.topology_version;
+            if (shard.group_key == key) {
+              ++group_reused;
+              return;
+            }
+            shard.group_key.reset();
+            shard.group_stats = {};
+            BoundaryGroups local =
+                group_boundaries(shard.net, key.input,
+                                 config.iff.use_message_passing,
+                                 &shard.group_stats, proto);
+            shard.groups.clear();
+            shard.groups.reserve(local.groups.size());
+            for (std::vector<NodeId>& grp : local.groups) {
+              for (NodeId& v : grp) v = shard.to_global[v];
+              shard.groups.push_back(std::move(grp));
+            }
+            shard.group_key = std::move(key);
+          },
+          threads);
+    }
 
+    BALLFIT_SPAN("shard.stitch");
     std::vector<NodeId> parent(n, kInvalidNode);
     std::vector<std::uint32_t> tag(n, 0);
     const auto find = [&](NodeId v) {
@@ -426,8 +495,8 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
     };
     std::uint32_t next_tag = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
-      result.grouping_cost += group_stats[s];
-      for (const std::vector<NodeId>& grp : groups_local[s]) {
+      result.grouping_cost += shards_[s]->group_stats;
+      for (const std::vector<NodeId>& grp : shards_[s]->groups) {
         ++next_tag;
         const NodeId anchor = grp[0];
         if (parent[anchor] == kInvalidNode) {
@@ -480,6 +549,8 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
     obs::Registry& reg = obs::Registry::global();
     reg.counter("shard.runs").add(1);
     reg.counter("shard.stitch_merges").add(stitch_merges_);
+    reg.counter("shard.iff_reused").add(iff_reused.load());
+    reg.counter("shard.group_reused").add(group_reused.load());
     reg.gauge("shard.count").set(static_cast<double>(num_shards));
     std::size_t halo_total = 0;
     obs::Histogram& latency = reg.histogram(
@@ -596,7 +667,9 @@ void ShardedDetector::apply(const NetworkDelta& delta) {
     }
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!local[s].empty()) shards_[s]->session->apply(local[s]);
+    if (local[s].empty()) continue;
+    shards_[s]->session->apply(local[s]);
+    if (!local[s].moved.empty()) ++shards_[s]->topology_version;
   }
   if (!delta.moved.empty()) mutable_network_->apply_moves(delta.moved);
   for (NodeId v : delta.crashed) alive_[v] = 0;

@@ -24,14 +24,15 @@
 /// rim, since a hop spans at most the radio range. Detection runs in three
 /// phases:
 ///
-///   1. every shard runs a full `DetectionSession` on its subnetwork
-///      (thread pool, one worker per shard); with `halo_hops >= 3` the UBF
-///      candidate flag of every *owned* node is exact — its witnesses'
-///      frames see untruncated 2-hop neighborhoods.
+///   1. every shard runs its `DetectionSession`'s candidate prefix
+///      (`run_candidates`: Measure → Localize → UBF → Escalate) on its
+///      subnetwork (thread pool, one worker per shard); with
+///      `halo_hops >= 3` the UBF candidate flag of every *owned* node is
+///      exact — its witnesses' frames see untruncated 2-hop neighborhoods.
 ///   2. owned candidate flags are exchanged into a global vector and IFF
-///      re-runs per shard on the exact flags; with `halo_hops >= ttl`
-///      every candidate-only flood path that can reach an owned node lies
-///      inside its shard, so owned boundary flags are exact.
+///      runs per shard on the exact flags; with `halo_hops >= ttl` every
+///      candidate-only flood path that can reach an owned node lies inside
+///      its shard, so owned boundary flags are exact.
 ///   3. boundary flags are exchanged and each shard groups its local
 ///      boundary subgraph; groups are stitched across seams by a min-id
 ///      union-find over global ids. Every boundary edge (u, v) appears in
@@ -39,6 +40,14 @@
 ///      stitched components — and the resulting `BoundaryGroups`, sorted by
 ///      min-id leader with sorted members — equal the unsharded output
 ///      exactly.
+///
+/// Repeat runs do only local work. Phase 1 reuses each session's caches
+/// (a delta re-tests only the dirty ball tests). Phases 2 and 3 keep a
+/// single-entry cache per shard, keyed like the session's IFF and Group
+/// stages — the shard's local input flags, the flood knobs, whether obs
+/// is on, and the shard's topology version — so a shard whose input flags
+/// did not change reuses its verdicts, counts, groups and cost stats
+/// (obs counters `shard.iff_reused`, `shard.group_reused`).
 ///
 /// Equality contract: `run` produces `ubf_candidates`, `boundary`, `groups`
 /// (and, with obs enabled, per-node confidence, IFF counts and group
@@ -145,8 +154,9 @@ class ShardedDetector {
 
   /// Runs sharded detection; see the equality contract above. Repeat runs
   /// reuse each shard session's cached stages exactly like an unsharded
-  /// session would. Throws `InvalidArgument` on an installed fault config
-  /// or when `config.iff.ttl > halo_hops`.
+  /// session would, and each shard's last IFF and grouping flood while its
+  /// input flags are unchanged. Throws `InvalidArgument` on an installed
+  /// fault config or when `config.iff.ttl > halo_hops`.
   PipelineResult run(const PipelineConfig& config = {});
 
   /// Applies a crash/revive/move delta, routing each node to every shard

@@ -570,13 +570,31 @@ void UnitBallFitting::update_flags_on_frames(
 std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
     std::size_t* frame_fallbacks, const std::vector<char>* alive,
     std::vector<float>* confidence) const {
+  const std::size_t n = network_->num_nodes();
+  if (confidence != nullptr) confidence->assign(n, 0.0f);
+  std::vector<char> flags(n, 0);
+  detect_with_true_coordinates(flags, alive, /*run_mask=*/nullptr, confidence,
+                               frame_fallbacks);
+  std::vector<bool> boundary(n, false);
+  for (std::size_t i = 0; i < n; ++i) boundary[i] = flags[i] != 0;
+  return boundary;
+}
+
+void UnitBallFitting::detect_with_true_coordinates(
+    std::vector<char>& flags, const std::vector<char>* alive,
+    const std::vector<char>* run_mask, std::vector<float>* confidence,
+    std::size_t* frame_fallbacks) const {
   BALLFIT_SPAN("true_coords");
   const std::size_t n = network_->num_nodes();
+  BALLFIT_REQUIRE(flags.size() == n, "flags must be sized num_nodes");
   BALLFIT_REQUIRE(alive == nullptr || alive->size() == n,
                   "alive mask must be sized num_nodes");
+  BALLFIT_REQUIRE(run_mask == nullptr || run_mask->size() == n,
+                  "run mask must be sized num_nodes");
+  BALLFIT_REQUIRE(confidence == nullptr || confidence->size() == n,
+                  "confidence must be pre-sized num_nodes");
   const bool two_hop = config_.scope == UbfConfig::EmptinessScope::kTwoHop;
   const bool want_conf = confidence != nullptr;
-  if (want_conf) confidence->assign(n, 0.0f);
   const std::size_t conf_cap =
       std::max(config_.verify_pool, config_.min_empty_balls);
   obs::Histogram* h_balls = nullptr;
@@ -594,7 +612,6 @@ std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
     (*confidence)[i] = static_cast<float>(c);
     if (h_conf != nullptr) h_conf->observe(c);
   };
-  std::vector<bool> boundary(n, false);
   std::size_t fallbacks = 0;
 
   // Scratch-arena membership gather: `seen` epoch-marks visited nodes (the
@@ -608,7 +625,12 @@ std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
   seen.reset_universe(n);
 
   for (NodeId i = 0; i < n; ++i) {
-    if (alive != nullptr && (*alive)[i] == 0) continue;  // crashed: no claim
+    if (run_mask != nullptr && (*run_mask)[i] == 0) continue;
+    if (alive != nullptr && (*alive)[i] == 0) {
+      flags[i] = 0;  // crashed: no claim
+      if (want_conf) (*confidence)[i] = 0.0f;
+      continue;
+    }
     seen.clear();
     coords.clear();
     coords.push_back(network_->position(i));
@@ -620,7 +642,7 @@ std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
     }
     const std::size_t witness_count = coords.size();
     if (witness_count < 4) {
-      boundary[i] = config_.degenerate_is_boundary;
+      flags[i] = config_.degenerate_is_boundary ? 1 : 0;
       set_conf(i, config_.degenerate_is_boundary ? 0.5 : 0.0);
       ++fallbacks;
       continue;
@@ -641,18 +663,19 @@ std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
       const std::size_t votes =
           count_empty_balls(coords, 0, witness_count, conf_cap,
                             /*coord_uncertainty=*/0.0, &diag);
-      boundary[i] = votes >= config_.min_empty_balls;
+      flags[i] = votes >= config_.min_empty_balls ? 1 : 0;
       set_conf(i, vote_confidence(votes, config_.min_empty_balls));
     } else {
-      boundary[i] = test_node(coords, 0, witness_count, &diag,
-                              /*coord_uncertainty=*/0.0);
+      flags[i] = test_node(coords, 0, witness_count, &diag,
+                           /*coord_uncertainty=*/0.0)
+                     ? 1
+                     : 0;
     }
     if (h_balls != nullptr) {
       h_balls->observe(static_cast<double>(diag.balls_tested));
     }
   }
   if (frame_fallbacks != nullptr) *frame_fallbacks = fallbacks;
-  return boundary;
 }
 
 }  // namespace ballfit::core

@@ -215,6 +215,22 @@ class UnitBallFitting {
       const std::vector<char>* alive = nullptr,
       std::vector<float>* confidence = nullptr) const;
 
+  /// Masked / partial variant of the oracle detector, in the in/out form of
+  /// `update_flags_on_frames`: recomputes `flags[i]` for every node with
+  /// `(*run_mask)[i] != 0` (all nodes when null) and leaves the rest
+  /// untouched; dead nodes get 0. A node's flag reads only the alive
+  /// positions within two hops of it, so a run over a mask that covers
+  /// every node whose two-hop alive neighborhood changed — plus every node
+  /// with fewer than 3 alive neighbors, the readers of
+  /// `degenerate_is_boundary` — reproduces the full call bit-identically.
+  /// `confidence`, when non-null, must be pre-sized to num_nodes; entries
+  /// follow the same mask discipline. `frame_fallbacks`, when non-null,
+  /// receives the number of *run* nodes that voted the degenerate default.
+  void detect_with_true_coordinates(
+      std::vector<char>& flags, const std::vector<char>* alive,
+      const std::vector<char>* run_mask, std::vector<float>* confidence,
+      std::size_t* frame_fallbacks = nullptr) const;
+
   /// The per-node kernel: runs the unit-ball test on an explicit point set.
   /// `coords[self_index]` is the node under test; entries with index
   /// < witness_count are one-hop members (candidate-ball witnesses);

@@ -147,6 +147,9 @@ TEST(ChurnSoak, TrueCoordsIncrementalMatchesColdEveryStep) {
   const ChurnReport& rep = engine.report();
   EXPECT_EQ(rep.steps, 220u);
   EXPECT_GT(rep.crashes + rep.revives + rep.moves, 0u);
+  // The soak took the partial UBF path, re-testing only a dirty subset.
+  EXPECT_GT(session.stats().ubf.partial_runs, 0u);
+  EXPECT_LT(session.stats().last_nodes_retested, net.num_nodes());
   EXPECT_EQ(rep.redetect_ms.size(), 220u);
   EXPECT_LE(rep.p50_ms(), rep.p99_ms());
   EXPECT_LE(rep.p99_ms(), rep.max_ms());

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "common/rng.hpp"
@@ -24,6 +25,14 @@ struct Case {
   std::size_t surface_count;
   std::size_t interior_count;
 };
+
+// gtest appends the printed parameter to each test's name. The default
+// printer dumps the object's bytes, which include heap addresses and so change
+// from run to run; print the fields that tell the cases apart instead.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.scenario.name << " surface=" << c.surface_count
+      << " interior=" << c.interior_count;
+}
 
 class ScenarioEndToEnd : public ::testing::TestWithParam<Case> {};
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "model/csg.hpp"
@@ -17,6 +18,12 @@
 #include "model/zoo.hpp"
 
 namespace ballfit::model {
+
+// gtest appends the printed parameter to each parameterized test's name.
+// The default printer dumps the object's bytes, which include heap
+// addresses and so change from run to run; print the scenario name instead.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
+
 namespace {
 
 using geom::Vec3;

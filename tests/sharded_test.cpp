@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -62,6 +63,42 @@ void expect_equal_detection(const PipelineResult& sharded,
   EXPECT_EQ(sharded.boundary, reference.boundary) << what;
   EXPECT_EQ(sharded.groups.leader, reference.groups.leader) << what;
   EXPECT_EQ(sharded.groups.groups, reference.groups.groups) << what;
+}
+
+/// The unsharded ground truth for a detector's current state: a cold
+/// session over the live network with every dead node crashed.
+PipelineResult cold_reference(const net::Network& net,
+                              const ShardedDetector& det,
+                              const PipelineConfig& cfg) {
+  DetectionSession cold(net);
+  NetworkDelta dead;
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (!det.is_alive(v)) dead.crashed.push_back(v);
+  }
+  if (!dead.empty()) cold.apply(dead);
+  return cold.run(cfg);
+}
+
+/// The obs-gated outputs: per-node confidence, and the group quality
+/// scores (whose flood margins read the per-node IFF counts).
+void expect_equal_obs_outputs(const PipelineResult& sharded,
+                              const PipelineResult& reference,
+                              const char* what) {
+  EXPECT_EQ(sharded.ubf_confidence, reference.ubf_confidence) << what;
+  ASSERT_EQ(sharded.group_quality.size(), reference.group_quality.size())
+      << what;
+  for (std::size_t i = 0; i < sharded.group_quality.size(); ++i) {
+    EXPECT_EQ(sharded.group_quality[i].score,
+              reference.group_quality[i].score)
+        << what;
+    EXPECT_EQ(sharded.group_quality[i].flood_margin,
+              reference.group_quality[i].flood_margin)
+        << what;
+  }
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
 
 ShardedConfig cells(std::size_t x, std::size_t y, std::size_t z,
@@ -398,7 +435,7 @@ TEST(Sharded, HaloCrashDirtiesEveryCoveringShard) {
   EXPECT_LT(covering.size(), sharded.num_shards());
 
   // True-coords sessions have no Localize stage; the alive-set change shows
-  // up as a UBF recompute (full, not partial — see ubf_partial_ok_).
+  // up as a partial UBF re-test of the crash's neighborhood.
   std::vector<std::uint64_t> runs_before(sharded.num_shards());
   for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
     const auto& st = sharded.shard_session(s).stats().ubf;
@@ -422,6 +459,133 @@ TEST(Sharded, HaloCrashDirtiesEveryCoveringShard) {
     } else {
       EXPECT_EQ(runs, runs_before[s]) << "distant shard " << s
                                       << " re-localized needlessly";
+    }
+  }
+}
+
+TEST(Sharded, UnchangedShardsReuseTheirFloods) {
+  const net::Network net = slab_network(63);
+  ShardedDetector sharded(net, cells(4, 1, 1));
+  ASSERT_EQ(sharded.num_shards(), 4u);
+  PipelineConfig cfg;
+  cfg.use_true_coordinates = true;
+  // Pin the degenerate vote (see HaloCrashDirtiesEveryCoveringShard): the
+  // first death would otherwise re-test every shard's degenerate nodes.
+  cfg.ubf.degenerate_is_boundary = false;
+  obs::set_enabled(true);
+  (void)sharded.run(cfg);
+
+  // A node deep inside the first cell (x < 0.5 of 12): seen by its owner
+  // and, as halo, by the second shard only. Its crash changes candidate
+  // flags within 2 hops (x < 2.5) and verdicts within 3 more (x < 5.5), so
+  // neither reaches the last shard's view (x >= 6), and the candidates do
+  // not reach the third shard's (x >= 3).
+  NodeId deep = net::kInvalidNode;
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (net.position(v).x < 0.5) {
+      deep = v;
+      break;
+    }
+  }
+  ASSERT_NE(deep, net::kInvalidNode);
+  const auto covering = sharded.shards_of(deep);
+  ASSERT_EQ(covering.size(), 2u);
+
+  std::vector<std::uint64_t> runs_before(sharded.num_shards());
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    const auto& st = sharded.shard_session(s).stats().ubf;
+    runs_before[s] = st.full_runs + st.partial_runs;
+  }
+  const std::uint64_t iff_reused = counter("shard.iff_reused");
+  const std::uint64_t group_reused = counter("shard.group_reused");
+
+  NetworkDelta delta;
+  delta.crashed = {deep};
+  sharded.apply(delta);
+  const PipelineResult got = sharded.run(cfg);
+  obs::set_enabled(false);
+
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    const auto& st = sharded.shard_session(s).stats().ubf;
+    if (std::find(covering.begin(), covering.end(),
+                  static_cast<std::uint32_t>(s)) == covering.end()) {
+      EXPECT_EQ(st.full_runs + st.partial_runs, runs_before[s])
+          << "distant shard " << s << " re-ran UBF";
+    }
+  }
+  EXPECT_GE(counter("shard.iff_reused"), iff_reused + 2);
+  EXPECT_GE(counter("shard.group_reused"), group_reused + 1);
+  expect_equal_detection(got, cold_reference(net, sharded, cfg),
+                         "after reuse");
+}
+
+// Incremental sharded detection equals a cold unsharded session after
+// every step of a crash / revive / within-cell move soak, at 1 and 4
+// threads, with obs off and on (then also confidence and group quality,
+// which reads the IFF counts).
+TEST(ShardedSoak, IncrementalMatchesColdUnshardedEveryStep) {
+  for (const bool obs_on : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      net::Network net = fig1_hole_network(95);
+      const std::size_t n = net.num_nodes();
+      ShardedDetector sharded(net, cells(2, 2, 1, threads));
+      PipelineConfig cfg;
+      cfg.use_true_coordinates = true;
+      obs::set_enabled(obs_on);
+      Rng rng(500 + threads);
+      std::vector<NodeId> dead;
+      std::size_t moves = 0;
+      for (std::size_t step = 0; step < 10; ++step) {
+        NetworkDelta delta;
+        const std::size_t revives =
+            std::min<std::size_t>(rng.uniform_index(3), dead.size());
+        for (std::size_t k = 0; k < revives; ++k) {
+          const std::size_t pick = rng.uniform_index(dead.size());
+          delta.revived.push_back(dead[pick]);
+          dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+        const std::size_t crashes = rng.uniform_index(4);
+        while (delta.crashed.size() < crashes) {
+          const auto v = static_cast<NodeId>(rng.uniform_index(n));
+          if (sharded.is_alive(v) &&
+              std::find(delta.crashed.begin(), delta.crashed.end(), v) ==
+                  delta.crashed.end()) {
+            delta.crashed.push_back(v);
+          }
+        }
+        dead.insert(dead.end(), delta.crashed.begin(), delta.crashed.end());
+        sharded.apply(delta);
+        // Small moves; the detector rejects (before any state change) the
+        // ones that would change shard membership.
+        for (int k = 0; k < 3; ++k) {
+          const auto v = static_cast<NodeId>(rng.uniform_index(n));
+          const geom::Vec3 p = net.position(v);
+          NetworkDelta move;
+          move.moved.push_back({v,
+                                {p.x + rng.uniform(-0.15, 0.15),
+                                 p.y + rng.uniform(-0.15, 0.15),
+                                 p.z + rng.uniform(-0.15, 0.15)}});
+          try {
+            sharded.apply(move);
+            ++moves;
+          } catch (const InvalidArgument&) {
+          }
+        }
+        const PipelineResult got = sharded.run(cfg);
+        const PipelineResult want = cold_reference(net, sharded, cfg);
+        const std::string what = "step " + std::to_string(step) +
+                                 " threads " + std::to_string(threads) +
+                                 (obs_on ? " obs" : "");
+        expect_equal_detection(got, want, what.c_str());
+        if (obs_on) expect_equal_obs_outputs(got, want, what.c_str());
+      }
+      obs::set_enabled(false);
+      EXPECT_GT(moves, 0u);
+      std::uint64_t partial_runs = 0;
+      for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+        partial_runs += sharded.shard_session(s).stats().ubf.partial_runs;
+      }
+      EXPECT_GT(partial_runs, 0u);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -13,6 +14,7 @@
 #include "model/csg.hpp"
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
+#include "net/graph.hpp"
 
 namespace ballfit::core {
 namespace {
@@ -278,6 +280,75 @@ TEST(UbfConfidence, MonotoneInMinEmptyBalls) {
       }
     }
     prev = std::move(conf);
+  }
+}
+
+// --- Masked oracle detector (incremental re-detection) ---------------------
+
+// The masked true-coordinates detector over a sound dirty set reproduces
+// the full call on the same alive mask: the 2-hop reach of every crash
+// (what a flag reads) plus every node left with fewer than 3 alive
+// neighbors (the readers of the degenerate vote, which flips here exactly
+// as a session flips it on the first crash). Flags, fallbacks and the
+// carried-over confidence must all match.
+TEST(UbfTrueCoords, MaskedRunOverDirtySetEqualsFullRun) {
+  Rng rng(77);
+  const model::SphereShape shape({0, 0, 0}, 3.0);
+  net::BuildOptions opt;
+  opt.surface_count = 150;
+  opt.interior_count = 250;
+  const net::Network net = net::build_network(shape, opt, rng);
+  const std::size_t n = net.num_nodes();
+  UbfConfig starved;
+  starved.degenerate_is_boundary = false;
+  const UnitBallFitting before(net);  // all alive, optimistic vote
+  const UnitBallFitting after(net, starved);
+
+  std::vector<char> alive(n, 1);
+  std::vector<NodeId> crashed;
+  // Crash 90% of one half-space: the survivors there are starved of
+  // neighbors, while the far side stays outside every crash's reach.
+  for (NodeId v = 0; v < n; ++v) {
+    if (net.position(v).x > 0.5 && rng.uniform() < 0.9) {
+      alive[v] = 0;
+      crashed.push_back(v);
+    }
+  }
+  std::vector<char> dirty(n, 0);
+  net::mark_k_hop(net, crashed, 2, dirty);
+  std::size_t degenerate = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    std::size_t alive_neighbors = 0;
+    for (NodeId u : net.neighbors(v)) alive_neighbors += alive[u] != 0;
+    if (alive[v] != 0 && alive_neighbors < 3) {
+      dirty[v] = 1;
+      ++degenerate;
+    }
+  }
+  ASSERT_GT(degenerate, 0u) << "the degenerate rule is not exercised";
+  ASSERT_LT(static_cast<std::size_t>(std::count(dirty.begin(), dirty.end(), 1)),
+            n)
+      << "the mask is not partial";
+
+  for (const bool scored : {false, true}) {
+    std::vector<float> full_conf;
+    std::size_t full_fallbacks = 0;
+    const std::vector<bool> full = after.detect_with_true_coordinates(
+        &full_fallbacks, &alive, scored ? &full_conf : nullptr);
+
+    std::vector<float> conf;
+    const std::vector<bool> start = before.detect_with_true_coordinates(
+        nullptr, nullptr, scored ? &conf : nullptr);
+    std::vector<char> flags(start.begin(), start.end());
+    std::size_t fallbacks = 0;
+    after.detect_with_true_coordinates(flags, &alive, &dirty,
+                                       scored ? &conf : nullptr, &fallbacks);
+    EXPECT_EQ(std::vector<bool>(flags.begin(), flags.end()), full)
+        << "scored=" << scored;
+    EXPECT_EQ(fallbacks, full_fallbacks) << "scored=" << scored;
+    if (scored) {
+      EXPECT_EQ(conf, full_conf);
+    }
   }
 }
 
