@@ -105,8 +105,8 @@ void mix_localizer_config(Fingerprint& fp,
 }
 
 std::size_t count_marks(const std::vector<char>& mask) {
-  return static_cast<std::size_t>(
-      std::count(mask.begin(), mask.end(), static_cast<char>(1)));
+  return mask.size() - static_cast<std::size_t>(
+                           std::count(mask.begin(), mask.end(), char{0}));
 }
 
 void note_stage(const char* stage, const char* kind) {
@@ -159,6 +159,14 @@ DetectionSession::DetectionSession(net::Network& network)
   mutable_network_ = &network;
 }
 
+DetectionSession::DetectionSession(net::Network& network,
+                                   std::vector<char> work)
+    : DetectionSession(network) {
+  BALLFIT_REQUIRE(work.empty() || work.size() == network.num_nodes(),
+                  "work set must be empty or sized num_nodes");
+  work_ = std::move(work);
+}
+
 void DetectionSession::apply(const NetworkDelta& delta) {
   const std::size_t n = network_->num_nodes();
 
@@ -196,7 +204,9 @@ void DetectionSession::apply(const NetworkDelta& delta) {
   // A frame's membership is a subset of its owner's two-hop neighborhood,
   // so only frames within two hops of a changed node can change; a node's
   // UBF flag additionally reads its one-hop witnesses' frames, adding one
-  // hop. The reach is computed on the full adjacency (conservative
+  // hop. The UBF marks keep the hop distance, so true-coordinates runs,
+  // whose flags read only two hops, re-test the inner part alone. The
+  // reach is computed on the full adjacency (conservative
   // superset of any masked reach). A move changes which nodes are within
   // reach at all, so its dirty set is marked on BOTH the pre-move and the
   // post-move adjacency: every changed frame input involves the moved node
@@ -377,18 +387,43 @@ void DetectionSession::run_measure_stage(const PipelineConfig& config) {
   }
 }
 
+void DetectionSession::refresh_frame_work() {
+  if (frame_work_valid_ && frame_work_topology_ == topology_version_) return;
+  const std::size_t n = network_->num_nodes();
+  std::vector<net::NodeId> seeds;
+  for (net::NodeId i = 0; i < n; ++i) {
+    if (work_[i] != 0) seeds.push_back(i);
+  }
+  std::vector<char> next(n, 0);
+  net::mark_k_hop(*network_, seeds, 1, next);
+  // A move can bring a new witness next to a work node. Its frame was
+  // never embedded (or is stale), so the next partial rebuild covers it.
+  if (frame_work_valid_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (next[i] != 0 && frame_work_[i] == 0) frames_dirty_[i] = 1;
+    }
+  }
+  frame_work_ = std::move(next);
+  frame_work_topology_ = topology_version_;
+  frame_work_valid_ = true;
+}
+
 void DetectionSession::run_localize_stage(const UbfConfig& ubf_config,
-                                          unsigned threads) {
-  // --- Localize: one frame per node. Keyed on (measure artifact, scope)
-  // plus the alive epoch; an epoch mismatch with a matching key re-embeds
-  // the dirty neighborhoods only.
+                                          unsigned threads, bool restricted) {
+  // --- Localize: one frame per node, or on a restricted run one per node
+  // of `frame_work_` (placeholders elsewhere — no test reads them). Keyed
+  // on (measure artifact, scope, restriction) plus the alive epoch; an
+  // epoch mismatch with a matching key re-embeds the dirty neighborhoods
+  // only.
   const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
   const bool two_hop = ubf_config.scope == UbfConfig::EmptinessScope::kTwoHop;
+  if (restricted) refresh_frame_work();
   std::uint64_t frames_key = 0;
   {
     Fingerprint fp;
     fp.u64(measure_version_);
     fp.boolean(two_hop);
+    fp.boolean(restricted);
     frames_key = fp.value();
   }
   if (frames_valid_ && frames_key_ == frames_key &&
@@ -406,6 +441,11 @@ void DetectionSession::run_localize_stage(const UbfConfig& ubf_config,
   // of (network, model, scope, alive), so the partial rebuild is
   // bit-identical to a full one.
   if (frames_valid_ && frames_key_ == frames_key) {
+    if (restricted) {
+      for (std::size_t i = 0; i < frames_dirty_.size(); ++i) {
+        if (frame_work_[i] == 0) frames_dirty_[i] = 0;
+      }
+    }
     stats_.last_frames_rebuilt = count_marks(frames_dirty_);
     // A partial rebuild refreshes only the dirty frames, so its effort
     // stats describe a fragment; fold them into the artifact's totals
@@ -422,10 +462,16 @@ void DetectionSession::run_localize_stage(const UbfConfig& ubf_config,
           .set(static_cast<double>(stats_.last_frames_rebuilt));
     }
   } else {
-    frames_.clear();
     loc_stats_ = {};
+    if (restricted) {
+      frames_.assign(network_->num_nodes(), localization::LocalFrame{});
+    } else {
+      frames_.clear();
+    }
     localization::build_all_frames(*localizer_, scope, frames_, threads,
-                                   alive_mask, nullptr, &loc_stats_);
+                                   alive_mask,
+                                   restricted ? &frame_work_ : nullptr,
+                                   &loc_stats_);
     ++stats_.localize.full_runs;
     note_stage("localize", "full_runs");
   }
@@ -438,7 +484,7 @@ void DetectionSession::run_localize_stage(const UbfConfig& ubf_config,
 
 void DetectionSession::run_ubf_stages(const PipelineConfig& config,
                                       const UbfConfig& ubf_config,
-                                      unsigned threads,
+                                      unsigned threads, bool restricted,
                                       PipelineResult& result) {
   const std::size_t n = network_->num_nodes();
   const std::vector<char>* alive_mask = masked_ ? &alive_ : nullptr;
@@ -448,7 +494,13 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   const bool true_coords = config.use_true_coordinates;
   if (!true_coords) run_measure_stage(config);
   BALLFIT_SPAN("ubf");
-  if (!true_coords) run_localize_stage(ubf_config, threads);
+  if (!true_coords) {
+    // kFast warm frames depend on the whole build schedule, so only the
+    // pure-per-frame tiers can embed the witnesses' frames alone.
+    run_localize_stage(ubf_config, threads,
+                       restricted && !config.localizer.warm_start_active());
+  }
+  const std::vector<char>* work = restricted ? &work_ : nullptr;
 
   // --- UBF ball test (+ witness cross-verification on frames).
   // Core key: everything the per-node decision reads except the
@@ -469,6 +521,9 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   // True-coordinates runs never escalate.
   const bool escalating = !true_coords && config.escalate.enabled;
   core.boolean(escalating);
+  // A restricted artifact holds verdicts for the work set only, so it
+  // must never seed a partial run that reads the rest.
+  core.boolean(restricted);
   // Full key: the core plus the degenerate vote and the version of the
   // per-node inputs — the frames (which follow the alive set) or, on true
   // coordinates, the alive set and positions themselves.
@@ -483,7 +538,8 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
   // Alive nodes the ball test cannot run on vote `degenerate_is_boundary`
   // instead: no usable frame, or fewer than 3 alive neighbors on true
   // coordinates. They are the fallbacks — recounted every run, so cache
-  // hits report what a fresh run would — and the only readers of the
+  // hits report what a fresh run would, and counted over the work set,
+  // whose verdicts are the ones read — and the only readers of the
   // degenerate vote, which the core key deliberately omits, so every
   // partial run re-tests them.
   const auto degenerate = [&](net::NodeId i) {
@@ -494,12 +550,34 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     }
     return true;
   };
+  const auto in_run = [&](net::NodeId i) {
+    return work == nullptr || (*work)[i] != 0;
+  };
+  // `tested` counts the alive nodes a full run tests, then (partial runs)
+  // the alive nodes of the re-test mask.
   frame_fallbacks_ = 0;
+  std::size_t tested = 0;
   for (net::NodeId i = 0; i < n; ++i) {
-    if (alive_[i] == 0 || !degenerate(i)) continue;
-    ++frame_fallbacks_;
+    if (alive_[i] == 0 || !in_run(i)) continue;
+    ++tested;
+    if (!degenerate(i)) continue;
+    if (work_.empty() || work_[i] != 0) ++frame_fallbacks_;
     if (partial) ubf_dirty_[i] = 1;
   }
+
+  // The partial run mask: dirty marks within the reach a flag reads —
+  // 3 hops on the frame path, 2 on true coordinates (marks are 1 + hop
+  // distance) — and inside the run set.
+  if (partial) {
+    const char max_mark = true_coords ? 3 : 4;
+    tested = 0;
+    for (net::NodeId i = 0; i < n; ++i) {
+      const char m = ubf_dirty_[i];
+      ubf_dirty_[i] = m != 0 && m <= max_mark && in_run(i) ? 1 : 0;
+      tested += ubf_dirty_[i] != 0 && alive_[i] != 0;
+    }
+  }
+  stats_.last_nodes_retested = hit ? 0 : tested;
 
   if (hit) {
     ++stats_.ubf.cache_hits;
@@ -520,20 +598,18 @@ void DetectionSession::run_ubf_stages(const PipelineConfig& config,
     } else {
       ubf_confidence_.clear();
     }
-    // Partial: re-test the dirty neighborhoods (the 3-hop reach of every
-    // change — a superset of what a frame-path flag and a true-coordinates
-    // flag read) plus the degenerate nodes marked above.
-    const std::vector<char>* run_mask = partial ? &ubf_dirty_ : nullptr;
+    // Partial: re-test the dirty neighborhoods plus the degenerate nodes
+    // (the mask built above). Full: every node of the run set.
+    const std::vector<char>* run_mask = partial ? &ubf_dirty_ : work;
     if (!partial) ubf_flags_.assign(n, 0);
     if (true_coords) {
       ubf.detect_with_true_coordinates(ubf_flags_, alive_mask, run_mask,
-                                       conf_out);
+                                       conf_out, nullptr, threads);
     } else {
       ubf.update_flags_on_frames(frames_, ubf_flags_, alive_mask, run_mask,
                                  threads, conf_out);
     }
     if (partial) {
-      stats_.last_nodes_retested = count_marks(ubf_dirty_);
       ++stats_.ubf.partial_runs;
       note_stage("ubf", "partial_runs");
       if (obs::enabled()) {
@@ -912,8 +988,15 @@ PipelineResult DetectionSession::run_candidates(const PipelineConfig& config) {
   // "boundary" by starvation alone.
   if (masked_ || faulted) ubf_config.degenerate_is_boundary = false;
 
+  // The work set restricts every per-node loop unless escalation runs: its
+  // effort plan reads confidence around the work nodes, so it keeps the
+  // full work set (true-coordinates runs never escalate).
+  const bool restricted =
+      !work_.empty() &&
+      (config.use_true_coordinates || !config.escalate.enabled);
+
   PipelineResult result;
-  run_ubf_stages(config, ubf_config, threads, result);
+  run_ubf_stages(config, ubf_config, threads, restricted, result);
   run_escalate_stage(config, ubf_config, threads, result);
 
   if (masked_) result.crashed_nodes = n - num_alive_;

@@ -42,11 +42,11 @@
 /// revived, or moved. Frames are re-embedded only inside the two-hop reach
 /// of the changed nodes (a frame's membership is a subset of its owner's
 /// two-hop neighborhood), the ball test re-runs only there plus one extra
-/// witness hop — on true coordinates too, where a flag reads the alive
-/// positions within two hops — and the cheap whole-network floods (IFF,
-/// grouping) re-run whenever their inputs changed. This mirrors the
-/// paper's localized semantics: a crash is invisible beyond the
-/// neighborhoods that could hear the node. A move
+/// witness hop (on true coordinates, where a flag reads the alive
+/// positions within two hops, only within those two hops), and the cheap
+/// whole-network floods (IFF, grouping) re-run whenever their inputs
+/// changed. This mirrors the paper's localized semantics: a crash is
+/// invisible beyond the neighborhoods that could hear the node. A move
 /// dirties both the node's old and new neighborhoods; the adjacency itself
 /// is rebuilt locally by `net::Network::apply_moves`, which requires the
 /// session to have been constructed with a mutable network.
@@ -103,7 +103,9 @@ struct SessionStats {
   StageCounters group;     ///< boundary grouping
   /// Frames re-embedded by the last partial Localize run (count).
   std::size_t last_frames_rebuilt = 0;
-  /// Nodes re-tested by the last partial UBF run (count).
+  /// Alive nodes the last run's UBF stage tested — ball test or
+  /// degenerate vote: the re-test set of a partial run, every alive work
+  /// node of a full run, 0 after a cache hit (count).
   std::size_t last_nodes_retested = 0;
 };
 
@@ -132,6 +134,19 @@ class DetectionSession {
   /// forwards them to `net::Network::apply_moves`. The caller must not
   /// mutate the network behind the session's back.
   explicit DetectionSession(net::Network& network);
+  /// Mutable binding with a work set: `work[i] != 0` marks the nodes whose
+  /// verdicts the caller reads (sized num_nodes; empty = every node).
+  /// `ShardedDetector` passes each shard's owned nodes, so the halo is
+  /// input to the owned verdicts, never work of its own. UBF then tests
+  /// only work nodes (cold, partial and degenerate re-tests alike), the
+  /// frame path embeds only the frames those tests read — the work nodes
+  /// and their one-hop witnesses — and `frame_fallbacks` counts work nodes
+  /// only. Verdicts of work nodes are bit-identical to an unrestricted
+  /// session's; everything else in `ubf_candidates` and `ubf_confidence`
+  /// reads 0. Escalated runs keep the full work set (the effort plan reads
+  /// confidence around the work nodes), and so do kFast frame builds
+  /// (warm frames depend on the whole schedule).
+  DetectionSession(net::Network& network, std::vector<char> work);
 
   const net::Network& network() const { return *network_; }
 
@@ -154,7 +169,9 @@ class DetectionSession {
   /// Applies a crash/revive/move delta and dirties the affected
   /// neighborhoods. The next `run` re-embeds frames only within two hops
   /// of the changed nodes and re-tests only those plus their witnesses
-  /// (three hops); moves dirty both the old and the new neighborhood.
+  /// (three hops; two on true coordinates, where no frame sits between a
+  /// flag and the positions it reads); moves dirty both the old and the
+  /// new neighborhood.
   /// Throws `InvalidArgument` (before any state change) on out-of-range
   /// ids, duplicates within a list, crashing a dead node, reviving an
   /// alive node, or moves on a const-bound session.
@@ -183,14 +200,19 @@ class DetectionSession {
  private:
   /// Measure artifact (frame path only).
   void run_measure_stage(const PipelineConfig& config);
-  /// Localize artifact (frame path only): full or dirty-set rebuild.
-  void run_localize_stage(const UbfConfig& ubf_config, unsigned threads);
+  /// Localize artifact (frame path only): full or dirty-set rebuild, of
+  /// every frame or (`restricted`) only of `frame_work_`.
+  void run_localize_stage(const UbfConfig& ubf_config, unsigned threads,
+                          bool restricted);
   /// UBF on either coordinate source (running Measure and Localize first
   /// on the frame path): cache hit, partial re-test of the dirty set, or
-  /// full run.
+  /// full run — over the work set when `restricted`, else every node.
   void run_ubf_stages(const PipelineConfig& config,
                       const UbfConfig& ubf_config, unsigned threads,
-                      PipelineResult& result);
+                      bool restricted, PipelineResult& result);
+  /// Brings `frame_work_` (work set + one-hop witnesses) up to the current
+  /// adjacency; witnesses that join it get their frames dirtied.
+  void refresh_frame_work();
   /// The opt-in Escalate stage (see the stage-graph comment). When it
   /// runs, it overwrites `result`'s candidates and confidence with the
   /// escalated ones, which the filter stages then consume. Invalidates the
@@ -231,6 +253,14 @@ class DetectionSession {
   /// flood-stage keys (flags alone cannot see an edge change).
   std::uint64_t topology_version_ = 0;
   bool masked_ = false;  ///< any node currently dead
+
+  // --- Work set (see the work-set constructor); empty = every node.
+  std::vector<char> work_;
+  /// Frames a restricted run embeds: the work set plus its one-hop
+  /// witnesses, on the adjacency of `frame_work_topology_`.
+  std::vector<char> frame_work_;
+  std::uint64_t frame_work_topology_ = 0;
+  bool frame_work_valid_ = false;
 
   // --- Session fault model (installed by faulted runs).
   std::optional<sim::FaultModel> fault_model_;
@@ -289,9 +319,10 @@ class DetectionSession {
   /// partial run) and the per-node inputs (covered by dirty tracking).
   std::uint64_t ubf_core_fp_ = 0;
   bool ubf_valid_ = false;
-  /// Nodes whose flag must be recomputed: the 3-hop reach of every change,
-  /// which covers dirty frames + one witness hop on the frame path and the
-  /// 2-hop neighborhood a true-coordinates flag reads.
+  /// Nodes whose flag must be recomputed, marked 1 + hop distance to the
+  /// nearest change out to 3 hops (`net::mark_k_hop`): the frame path
+  /// re-tests all of them (dirty frames + one witness hop), true
+  /// coordinates only marks <= 3 (the 2-hop neighborhood a flag reads).
   std::vector<char> ubf_dirty_;
 
   // --- Escalate artifact (opt-in; empty/invalid unless the last run had

@@ -234,8 +234,9 @@ ShardedDetector::ShardedDetector(const net::Network& network,
     shard->info.owned_nodes = shard->owned_local.size();
     shard->info.halo_nodes = m - shard->owned_local.size();
     // Mutable binding: the shard owns its subnetwork by value, and only
-    // the session mutates it (move deltas routed through apply()).
-    shard->session.emplace(shard->net);
+    // the session mutates it (move deltas routed through apply()). The
+    // owned nodes are the session's work set: the halo is input only.
+    shard->session.emplace(shard->net, shard->owned);
     shards_.push_back(std::move(shard));
   }
 
@@ -363,6 +364,7 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
   std::vector<float> confidence;
   if (want_conf) confidence.assign(n, 0.0f);
   std::size_t fallbacks = 0;
+  std::size_t ubf_tested = 0;
   for (std::size_t s = 0; s < num_shards; ++s) {
     const Shard& shard = *shards_[s];
     const PipelineResult& r = phase1[s];
@@ -373,11 +375,14 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
         confidence[g] = r.ubf_confidence[l];
       }
     }
+    // Each session counts the fallbacks among its owned nodes only, so the
+    // sum is the unsharded count.
     fallbacks += r.frame_fallbacks;
+    ubf_tested += shard.session->stats().last_nodes_retested;
     // Localization and escalation effort are per-shard-session; the
-    // global view is the sum (halo nodes are built/planned by every shard
-    // that sees them, and the merged counters say so rather than
-    // pretending otherwise).
+    // global view is the sum (witness frames are built, and escalation
+    // plans halo nodes, in every shard that needs them, and the merged
+    // counters say so rather than pretending otherwise).
     result.localize_stats.merge(r.localize_stats);
     result.effort.merge(r.effort);
   }
@@ -548,6 +553,7 @@ PipelineResult ShardedDetector::run(const PipelineConfig& config) {
 
     obs::Registry& reg = obs::Registry::global();
     reg.counter("shard.runs").add(1);
+    reg.counter("shard.ubf_tested").add(ubf_tested);
     reg.counter("shard.stitch_merges").add(stitch_merges_);
     reg.counter("shard.iff_reused").add(iff_reused.load());
     reg.counter("shard.group_reused").add(group_reused.load());

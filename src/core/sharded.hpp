@@ -29,6 +29,13 @@
 ///      subnetwork (thread pool, one worker per shard); with
 ///      `halo_hops >= 3` the UBF candidate flag of every *owned* node is
 ///      exact — its witnesses' frames see untruncated 2-hop neighborhoods.
+///      The halo is input, not work: the owned nodes are the session's
+///      work set, so UBF tests owned nodes only (cold, partial and
+///      degenerate re-tests alike) and the frame path embeds only the
+///      frames those tests read, the owned nodes' and their one-hop
+///      witnesses' (complete by the same 3 = 1 + 2 invariant). Each alive
+///      node is ball-tested once per cold run, in its owner shard (obs
+///      counter `shard.ubf_tested`).
 ///   2. owned candidate flags are exchanged into a global vector and IFF
 ///      runs per shard on the exact flags; with `halo_hops >= ttl` every
 ///      candidate-only flood path that can reach an owned node lies inside
@@ -60,12 +67,15 @@
 /// relative id order, so frame member lists are order-isomorphic and the
 /// per-frame math is bit-identical.
 ///
-/// Cost telemetry (`iff_cost`, `grouping_cost`, `frame_fallbacks`) is summed
-/// over shards, so halo nodes are counted once per shard that sees them —
-/// an upper bound on the unsharded cost, not an equality.
+/// `frame_fallbacks` is summed over the shards' owned nodes and equals the
+/// unsharded count. Flood cost telemetry (`iff_cost`, `grouping_cost`) and
+/// `localize_stats` are summed over shards, so halo nodes and seam
+/// witnesses count once per shard that floods or embeds them — an upper
+/// bound on the unsharded cost, not an equality.
 ///
 /// Escalation (`PipelineConfig::escalate`) flows through each shard's
-/// session unchanged; `run` requires `halo_hops >= 6` for it: an owned
+/// session with the full work set — its effort plan reads halo confidence
+/// — and `run` requires `halo_hops >= 6` for it: an owned
 /// node's escalated flag reads the plan of seeds up to 1 hop away (its
 /// retest membership and the kFull status of the frames its test reads),
 /// and each seed's plan reads confidence whose inputs reach 3 hops

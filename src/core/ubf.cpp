@@ -583,7 +583,7 @@ std::vector<bool> UnitBallFitting::detect_with_true_coordinates(
 void UnitBallFitting::detect_with_true_coordinates(
     std::vector<char>& flags, const std::vector<char>* alive,
     const std::vector<char>* run_mask, std::vector<float>* confidence,
-    std::size_t* frame_fallbacks) const {
+    std::size_t* frame_fallbacks, unsigned threads) const {
   BALLFIT_SPAN("true_coords");
   const std::size_t n = network_->num_nodes();
   BALLFIT_REQUIRE(flags.size() == n, "flags must be sized num_nodes");
@@ -612,70 +612,76 @@ void UnitBallFitting::detect_with_true_coordinates(
     (*confidence)[i] = static_cast<float>(c);
     if (h_conf != nullptr) h_conf->observe(c);
   };
-  std::size_t fallbacks = 0;
+  // Fallbacks are rare (starved neighborhoods), so one shared atomic
+  // counter costs nothing measurable across workers.
+  std::atomic<std::size_t> fallbacks{0};
 
-  // Scratch-arena membership gather: `seen` epoch-marks visited nodes (the
+  // Each node writes only its own flag and confidence slot, and gathers
+  // into its worker's scratch arena: `seen` epoch-marks visited nodes (the
   // allocation-free equivalent of a per-node unordered_set — see
-  // common/epoch_map.hpp, where this idiom now lives) and `gather` reuses
-  // its capacity across nodes. Member order is identical to the naive
-  // gather, though emptiness is order-independent anyway.
-  UbfScratch& scratch = local_scratch();
-  std::vector<Vec3>& coords = scratch.gather;
-  EpochSlotMap& seen = scratch.seen;
-  seen.reset_universe(n);
-
-  for (NodeId i = 0; i < n; ++i) {
-    if (run_mask != nullptr && (*run_mask)[i] == 0) continue;
-    if (alive != nullptr && (*alive)[i] == 0) {
-      flags[i] = 0;  // crashed: no claim
-      if (want_conf) (*confidence)[i] = 0.0f;
-      continue;
-    }
-    seen.clear();
-    coords.clear();
-    coords.push_back(network_->position(i));
-    seen.insert(i, 0);
-    for (NodeId v : network_->neighbors(i)) {
-      if (alive != nullptr && (*alive)[v] == 0) continue;
-      coords.push_back(network_->position(v));
-      seen.insert(v, 0);
-    }
-    const std::size_t witness_count = coords.size();
-    if (witness_count < 4) {
-      flags[i] = config_.degenerate_is_boundary ? 1 : 0;
-      set_conf(i, config_.degenerate_is_boundary ? 0.5 : 0.0);
-      ++fallbacks;
-      continue;
-    }
-    if (two_hop) {
-      // Exact two-hop membership: neighbors of neighbors, minus the
-      // one-hop set and i itself, deduplicated.
-      for (NodeId j : network_->neighbors(i)) {
-        if (alive != nullptr && (*alive)[j] == 0) continue;
-        for (NodeId u : network_->neighbors(j)) {
-          if (alive != nullptr && (*alive)[u] == 0) continue;
-          if (seen.insert(u, 0)) coords.push_back(network_->position(u));
+  // common/epoch_map.hpp) and `gather` reuses its capacity across nodes.
+  // Member order is identical to the naive gather, though emptiness is
+  // order-independent anyway, so flags do not depend on `threads`.
+  parallel_for(
+      n,
+      [&](std::size_t idx) {
+        const auto i = static_cast<NodeId>(idx);
+        if (run_mask != nullptr && (*run_mask)[i] == 0) return;
+        if (alive != nullptr && (*alive)[i] == 0) {
+          flags[i] = 0;  // crashed: no claim
+          if (want_conf) (*confidence)[i] = 0.0f;
+          return;
         }
-      }
-    }
-    UbfNodeDiagnostics diag;
-    if (want_conf) {
-      const std::size_t votes =
-          count_empty_balls(coords, 0, witness_count, conf_cap,
-                            /*coord_uncertainty=*/0.0, &diag);
-      flags[i] = votes >= config_.min_empty_balls ? 1 : 0;
-      set_conf(i, vote_confidence(votes, config_.min_empty_balls));
-    } else {
-      flags[i] = test_node(coords, 0, witness_count, &diag,
-                           /*coord_uncertainty=*/0.0)
-                     ? 1
-                     : 0;
-    }
-    if (h_balls != nullptr) {
-      h_balls->observe(static_cast<double>(diag.balls_tested));
-    }
-  }
-  if (frame_fallbacks != nullptr) *frame_fallbacks = fallbacks;
+        UbfScratch& scratch = local_scratch();
+        std::vector<Vec3>& coords = scratch.gather;
+        EpochSlotMap& seen = scratch.seen;
+        seen.reset_universe(n);
+        seen.clear();
+        coords.clear();
+        coords.push_back(network_->position(i));
+        seen.insert(i, 0);
+        for (NodeId v : network_->neighbors(i)) {
+          if (alive != nullptr && (*alive)[v] == 0) continue;
+          coords.push_back(network_->position(v));
+          seen.insert(v, 0);
+        }
+        const std::size_t witness_count = coords.size();
+        if (witness_count < 4) {
+          flags[i] = config_.degenerate_is_boundary ? 1 : 0;
+          set_conf(i, config_.degenerate_is_boundary ? 0.5 : 0.0);
+          ++fallbacks;
+          return;
+        }
+        if (two_hop) {
+          // Exact two-hop membership: neighbors of neighbors, minus the
+          // one-hop set and i itself, deduplicated.
+          for (NodeId j : network_->neighbors(i)) {
+            if (alive != nullptr && (*alive)[j] == 0) continue;
+            for (NodeId u : network_->neighbors(j)) {
+              if (alive != nullptr && (*alive)[u] == 0) continue;
+              if (seen.insert(u, 0)) coords.push_back(network_->position(u));
+            }
+          }
+        }
+        UbfNodeDiagnostics diag;
+        if (want_conf) {
+          const std::size_t votes =
+              count_empty_balls(coords, 0, witness_count, conf_cap,
+                                /*coord_uncertainty=*/0.0, &diag);
+          flags[i] = votes >= config_.min_empty_balls ? 1 : 0;
+          set_conf(i, vote_confidence(votes, config_.min_empty_balls));
+        } else {
+          flags[i] = test_node(coords, 0, witness_count, &diag,
+                               /*coord_uncertainty=*/0.0)
+                         ? 1
+                         : 0;
+        }
+        if (h_balls != nullptr) {
+          h_balls->observe(static_cast<double>(diag.balls_tested));
+        }
+      },
+      threads == 0 ? default_threads() : threads);
+  if (frame_fallbacks != nullptr) *frame_fallbacks = fallbacks.load();
 }
 
 }  // namespace ballfit::core

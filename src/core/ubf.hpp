@@ -226,10 +226,12 @@ class UnitBallFitting {
   /// `confidence`, when non-null, must be pre-sized to num_nodes; entries
   /// follow the same mask discipline. `frame_fallbacks`, when non-null,
   /// receives the number of *run* nodes that voted the degenerate default.
+  /// `threads` parallelizes the per-node tests (default 1, serial; 0 =
+  /// hardware concurrency); results are identical for every count.
   void detect_with_true_coordinates(
       std::vector<char>& flags, const std::vector<char>* alive,
       const std::vector<char>* run_mask, std::vector<float>* confidence,
-      std::size_t* frame_fallbacks = nullptr) const;
+      std::size_t* frame_fallbacks = nullptr, unsigned threads = 1) const;
 
   /// The per-node kernel: runs the unit-ball test on an explicit point set.
   /// `coords[self_index]` is the node under test; entries with index

@@ -440,8 +440,10 @@ enum class FrameScope { kOneHop, kTwoHop };
 ///   - `alive` (optional): crashed-node mask forwarded to the per-node
 ///     builders; dead nodes get a default (not-ok) frame.
 ///   - `rebuild` (optional): when non-null, `frames` must already hold a
-///     full build and only nodes with `(*rebuild)[i] != 0` are recomputed —
-///     the incremental re-detection path. Rebuilt nodes run the per-node
+///     full build (or default placeholders for frames no caller reads) and
+///     only nodes with `(*rebuild)[i] != 0` are recomputed — the
+///     incremental re-detection path, and the work-set build of
+///     `core::DetectionSession`. Rebuilt nodes run the per-node
 ///     cold builder; at kBitwise and kBoundaryIdentical a frame is a pure
 ///     function of (network, measurement model, scope, alive), so a
 ///     partial rebuild over a sound dirty set is bit-identical to a full

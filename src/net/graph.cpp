@@ -157,13 +157,18 @@ void mark_k_hop(const Network& net, const std::vector<NodeId>& seeds,
                 std::uint32_t k, std::vector<char>& out) {
   const std::size_t n = net.num_nodes();
   BALLFIT_REQUIRE(out.size() == n, "output mask must be sized num_nodes");
+  BALLFIT_REQUIRE(k < 127, "mark_k_hop: k must fit a char mark");
   std::vector<std::uint32_t> dist(n, kUnreachable);
   std::deque<NodeId> queue;
+  const auto mark = [&](NodeId v) {
+    const char m = static_cast<char>(dist[v] + 1);
+    if (out[v] == 0 || out[v] > m) out[v] = m;
+  };
   for (NodeId s : seeds) {
     BALLFIT_REQUIRE(s < n, "seed out of range");
     if (dist[s] == 0) continue;  // duplicate seed
     dist[s] = 0;
-    out[s] = 1;
+    mark(s);
     queue.push_back(s);
   }
   while (!queue.empty()) {
@@ -173,7 +178,7 @@ void mark_k_hop(const Network& net, const std::vector<NodeId>& seeds,
     for (NodeId v : net.neighbors(u)) {
       if (dist[v] != kUnreachable) continue;
       dist[v] = dist[u] + 1;
-      out[v] = 1;
+      mark(v);
       queue.push_back(v);
     }
   }

@@ -55,9 +55,13 @@ bool is_connected(const Network& net);
 std::vector<NodeId> shortest_path(const Network& net, NodeId from, NodeId to,
                                   const NodeMask* mask = nullptr);
 
-/// Marks (sets to 1) every node within `k` hops (inclusive; k = 0 marks
-/// just the seeds) of any seed, accumulating into `out` (must be sized
-/// num_nodes; existing marks are preserved).
+/// Marks every node within `k` hops (inclusive; k = 0 marks just the
+/// seeds) of any seed with 1 + its hop distance to the nearest seed (seeds
+/// get 1), accumulating into `out` (must be sized num_nodes; k < 127). A
+/// node that already carries a nonzero mark keeps the smaller of the two,
+/// so after several calls a node's mark is 1 + its distance to the nearest
+/// seed of any call, and `out[v] != 0` still reads "within reach". Callers
+/// that need a narrower reach than they marked select `out[v] <= reach + 1`.
 /// Traversal runs over the full adjacency, deliberately ignoring any
 /// aliveness mask: a dead relay still bounds how far a topology change can
 /// influence a two-hop neighborhood, so the unmasked reach is the sound

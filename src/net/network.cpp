@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "geom/aabb.hpp"
 #include "geom/grid.hpp"
+#include "obs/trace.hpp"
 
 namespace ballfit::net {
 namespace {
@@ -56,6 +57,7 @@ Network::Network(std::vector<geom::Vec3> positions,
 }
 
 void Network::build_adjacency(unsigned threads) {
+  BALLFIT_SPAN("net.build");
   const std::size_t n = positions_.size();
   offsets_.assign(n + 1, 0);
   adjacency_.clear();
@@ -211,26 +213,24 @@ Network::Subnetwork Network::induced_subnetwork(
       sub.truth_boundary_.begin(), sub.truth_boundary_.end(), true));
 
   // Row i of the subgraph = parent row of nodes[i] ∩ nodes, remapped to
-  // local ids. Both are sorted ascending, so the intersection walk keeps
-  // rows sorted without a separate sort pass.
+  // local ids through a dense parent -> local table, so the extraction is
+  // linear in the members' degree sum. Local ids are increasing in parent
+  // ids, so remapped rows stay sorted without a separate sort pass.
+  std::vector<NodeId> local_of(n, kInvalidNode);
+  for (std::size_t i = 0; i < m; ++i) {
+    local_of[nodes[i]] = static_cast<NodeId>(i);
+  }
   sub.offsets_.assign(m + 1, 0);
-  const auto local_of = [&](NodeId g) -> NodeId {
-    const auto it = std::lower_bound(nodes.begin(), nodes.end(), g);
-    if (it == nodes.end() || *it != g) return kInvalidNode;
-    return static_cast<NodeId>(it - nodes.begin());
-  };
   for (std::size_t i = 0; i < m; ++i) {
     std::size_t d = 0;
-    for (NodeId g : neighbors(nodes[i])) {
-      if (local_of(g) != kInvalidNode) ++d;
-    }
+    for (NodeId g : neighbors(nodes[i])) d += local_of[g] != kInvalidNode;
     sub.offsets_[i + 1] = sub.offsets_[i] + d;
   }
   sub.adjacency_.resize(sub.offsets_[m]);
   for (std::size_t i = 0; i < m; ++i) {
     NodeId* out_row = sub.adjacency_.data() + sub.offsets_[i];
     for (NodeId g : neighbors(nodes[i])) {
-      const NodeId l = local_of(g);
+      const NodeId l = local_of[g];
       if (l != kInvalidNode) *out_row++ = l;
     }
   }

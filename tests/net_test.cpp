@@ -137,6 +137,16 @@ TEST(Graph, ShortestPathUnreachableEmpty) {
   EXPECT_TRUE(shortest_path(net, 0, 5, &mask).empty());
 }
 
+TEST(Graph, MarkKHopKeepsNearestDistance) {
+  const Network net = line_network(8);
+  std::vector<char> out(8, 0);
+  mark_k_hop(net, {2}, 2, out);
+  EXPECT_EQ(out, (std::vector<char>{3, 2, 1, 2, 3, 0, 0, 0}));
+  // A second call keeps the smaller mark where both reach.
+  mark_k_hop(net, {5}, 1, out);
+  EXPECT_EQ(out, (std::vector<char>{3, 2, 1, 2, 2, 1, 2, 0}));
+}
+
 TEST(Builder, ProducesRequestedCountsAndLabels) {
   Rng rng(5);
   const model::SphereShape shape({0, 0, 0}, 4.0);

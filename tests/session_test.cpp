@@ -12,6 +12,7 @@
 #include "core/session.hpp"
 #include "model/shapes.hpp"
 #include "net/builder.hpp"
+#include "net/graph.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
@@ -173,6 +174,60 @@ TEST(SessionDelta, OracleModeMatchesFromScratch) {
   DetectionSession cold(net);
   cold.apply(delta);
   expect_same_result(incremental, cold.run(cfg), "oracle incremental");
+}
+
+// A partial UBF run re-tests exactly the alive nodes whose flag can read
+// the change: 2 hops on true coordinates (a flag reads the alive positions
+// within two hops) plus the degenerate nodes, and 3 on the frame path (one
+// more witness hop).
+TEST(SessionDelta, ReTestReachFollowsCoordinateSource) {
+  const net::Network net = sphere_network(17);
+  const std::size_t n = net.num_nodes();
+  const NodeId crashed = 40;
+  const std::vector<std::uint32_t> hops = net::hop_distances(net, crashed);
+  const auto within = [&](std::uint32_t k) {
+    std::size_t count = 0;
+    for (NodeId v = 0; v < n; ++v) count += hops[v] <= k;
+    return count;
+  };
+  NetworkDelta delta;
+  delta.crashed = {crashed};
+
+  PipelineConfig oracle;
+  oracle.use_true_coordinates = true;
+  DetectionSession exact(net);
+  (void)exact.run(oracle);
+  exact.apply(delta);
+  const PipelineResult got = exact.run(oracle);
+  ASSERT_EQ(exact.stats().ubf.partial_runs, 1u);
+  std::size_t expected = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!exact.is_alive(v)) continue;
+    if (hops[v] <= 2) {
+      ++expected;
+      continue;
+    }
+    std::size_t alive_neighbors = 0;
+    for (const NodeId u : net.neighbors(v)) {
+      alive_neighbors += exact.is_alive(u);
+    }
+    expected += alive_neighbors < 3;
+  }
+  EXPECT_EQ(exact.stats().last_nodes_retested, expected);
+  EXPECT_LT(expected, within(3));
+  DetectionSession cold(net);
+  cold.apply(delta);
+  expect_same_result(got, cold.run(oracle), "2-hop re-test");
+
+  PipelineConfig noisy;
+  noisy.measurement_error = 0.2;
+  noisy.noise_seed = 3;
+  DetectionSession frames(net);
+  (void)frames.run(noisy);
+  frames.apply(delta);
+  (void)frames.run(noisy);
+  ASSERT_EQ(frames.stats().ubf.partial_runs, 1u);
+  EXPECT_GE(frames.stats().last_nodes_retested, within(3));
 }
 
 // (c) Fingerprint completeness: flipping any config field a stage reads

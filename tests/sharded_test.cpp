@@ -63,6 +63,7 @@ void expect_equal_detection(const PipelineResult& sharded,
   EXPECT_EQ(sharded.boundary, reference.boundary) << what;
   EXPECT_EQ(sharded.groups.leader, reference.groups.leader) << what;
   EXPECT_EQ(sharded.groups.groups, reference.groups.groups) << what;
+  EXPECT_EQ(sharded.frame_fallbacks, reference.frame_fallbacks) << what;
 }
 
 /// The unsharded ground truth for a detector's current state: a cold
@@ -245,9 +246,11 @@ TEST(Sharded, NoisyLocalizationEqualsUnsharded) {
 
 TEST(Sharded, LocalizeStatsMergeAcrossShards) {
   // The global result's localization effort accounting is the sum over
-  // shard sessions. Halo nodes are built by every shard that sees them, so
-  // the merged frame count is at least the unsharded one — and never zero
-  // on a noisy run.
+  // shard sessions. Each shard embeds the frames its owned ball tests read
+  // — its owned nodes' and their one-hop witnesses' — so every frame is
+  // built at least once and a witness near a seam once per shard that
+  // reads it: the merged frame count is at least the unsharded one, and
+  // never zero on a noisy run.
   const net::Network net = sphere_network(23, 140, 230);
   PipelineConfig cfg;
   cfg.measurement_error = 0.2;
@@ -265,6 +268,92 @@ TEST(Sharded, LocalizeStatsMergeAcrossShards) {
             expected.localize_stats.sweeps_executed);
   EXPECT_LE(got.localize_stats.sweeps_executed,
             got.localize_stats.sweep_budget);
+}
+
+// A session with a work set reproduces an unrestricted session's verdicts
+// and confidence on every work node, on both coordinate paths and after a
+// crash; the rest reads 0, and the frame path embeds fewer frames.
+TEST(ShardedWorkSet, WorkNodesMatchUnrestrictedSession) {
+  for (const bool true_coords : {true, false}) {
+    net::Network net = sphere_network(27, 140, 230);
+    const std::size_t n = net.num_nodes();
+    std::vector<char> work(n, 0);
+    for (NodeId v = 0; v < n; ++v) work[v] = net.position(v).x < 0.0;
+    PipelineConfig cfg;
+    cfg.use_true_coordinates = true_coords;
+    if (!true_coords) {
+      cfg.measurement_error = 0.2;
+      cfg.noise_seed = 9;
+    }
+    net::Network full_net = net;
+    DetectionSession full(full_net);
+    DetectionSession restricted(net, work);
+    obs::set_enabled(true);
+    for (const bool crashed : {false, true}) {
+      if (crashed) {
+        NetworkDelta delta;
+        delta.crashed = {3, 50, 120};
+        full.apply(delta);
+        restricted.apply(delta);
+      }
+      const PipelineResult want = full.run_candidates(cfg);
+      const PipelineResult got = restricted.run_candidates(cfg);
+      const std::string what = std::string(true_coords ? "true" : "noisy") +
+                               (crashed ? " after crash" : " cold");
+      ASSERT_EQ(got.ubf_confidence.size(), n) << what;
+      std::size_t work_alive = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        if (work[v] != 0) {
+          work_alive += restricted.is_alive(v);
+          EXPECT_EQ(got.ubf_candidates[v], want.ubf_candidates[v]) << what;
+          EXPECT_EQ(got.ubf_confidence[v], want.ubf_confidence[v]) << what;
+        } else {
+          EXPECT_FALSE(got.ubf_candidates[v]) << what;
+          EXPECT_EQ(got.ubf_confidence[v], 0.0f) << what;
+        }
+      }
+      EXPECT_LE(got.frame_fallbacks, want.frame_fallbacks) << what;
+      if (!crashed) {
+        EXPECT_EQ(restricted.stats().last_nodes_retested, work_alive) << what;
+      } else {
+        EXPECT_EQ(restricted.stats().ubf.partial_runs, 1u) << what;
+        EXPECT_LT(restricted.stats().last_nodes_retested, work_alive) << what;
+      }
+      if (!true_coords && !crashed) {
+        EXPECT_LT(got.localize_stats.frames_built,
+                  want.localize_stats.frames_built);
+      }
+    }
+    obs::set_enabled(false);
+  }
+}
+
+// Phase 1 ball-tests each alive node exactly once, in its owner shard
+// (`shard.ubf_tested`), and a crash re-tests only owned nodes near it.
+TEST(Sharded, BallTestsOwnedNodesOnly) {
+  const net::Network net = fig1_hole_network(33);
+  ShardedDetector sharded(net, cells(2, 2, 1));
+  NetworkDelta delta;
+  delta.crashed = {7, 300, 301};
+  sharded.apply(delta);
+  PipelineConfig cfg;
+  cfg.use_true_coordinates = true;
+  obs::set_enabled(true);
+  const std::uint64_t before = counter("shard.ubf_tested");
+  expect_equal_detection(sharded.run(cfg), cold_reference(net, sharded, cfg),
+                         "cold");
+  EXPECT_EQ(counter("shard.ubf_tested") - before, sharded.num_alive());
+
+  NetworkDelta more;
+  more.crashed = {150};
+  sharded.apply(more);
+  const std::uint64_t mid = counter("shard.ubf_tested");
+  expect_equal_detection(sharded.run(cfg), cold_reference(net, sharded, cfg),
+                         "partial");
+  const std::uint64_t retested = counter("shard.ubf_tested") - mid;
+  EXPECT_GT(retested, 0u);
+  EXPECT_LT(retested, sharded.num_alive() / 4);
+  obs::set_enabled(false);
 }
 
 TEST(Sharded, CubeWithHoleEqualsUnshardedBothPaths) {

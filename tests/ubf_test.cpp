@@ -326,7 +326,8 @@ TEST(UbfTrueCoords, MaskedRunOverDirtySetEqualsFullRun) {
     }
   }
   ASSERT_GT(degenerate, 0u) << "the degenerate rule is not exercised";
-  ASSERT_LT(static_cast<std::size_t>(std::count(dirty.begin(), dirty.end(), 1)),
+  ASSERT_LT(static_cast<std::size_t>(
+                n - std::count(dirty.begin(), dirty.end(), char{0})),
             n)
       << "the mask is not partial";
 
@@ -349,6 +350,79 @@ TEST(UbfTrueCoords, MaskedRunOverDirtySetEqualsFullRun) {
     if (scored) {
       EXPECT_EQ(conf, full_conf);
     }
+  }
+}
+
+// The true-coordinates detector runs its nodes on `threads` workers; flags,
+// confidence and the fallback count must not depend on the count, on the
+// full call and on a masked partial call over a starved alive mask alike.
+TEST(UbfTrueCoords, ThreadCountInvariant) {
+  Rng rng(91);
+  const model::SphereShape shape({0, 0, 0}, 3.0);
+  net::BuildOptions opt;
+  opt.surface_count = 150;
+  opt.interior_count = 250;
+  const net::Network net = net::build_network(shape, opt, rng);
+  const std::size_t n = net.num_nodes();
+  UbfConfig starved;
+  starved.degenerate_is_boundary = false;
+  const UnitBallFitting ubf(net, starved);
+
+  std::vector<char> alive(n, 1);
+  std::vector<NodeId> crashed;
+  for (NodeId v = 0; v < n; ++v) {
+    if (net.position(v).x > 0.5 && rng.uniform() < 0.9) {
+      alive[v] = 0;
+      crashed.push_back(v);
+    }
+  }
+  std::vector<char> dirty(n, 0);
+  net::mark_k_hop(net, crashed, 2, dirty);
+
+  // The full call is the masked form with no run mask; the masked call
+  // re-tests the 2-hop reach of the crashes over stale flags/confidence.
+  struct Outcome {
+    std::vector<char> flags;
+    std::vector<float> conf;
+    std::size_t fallbacks = 0;
+    std::vector<char> masked_flags;
+    std::vector<float> masked_conf;
+    std::size_t masked_fallbacks = 0;
+  };
+  const auto run = [&](unsigned threads) {
+    Outcome o;
+    o.flags.assign(n, 0);
+    o.conf.assign(n, 0.0f);
+    ubf.detect_with_true_coordinates(o.flags, &alive, /*run_mask=*/nullptr,
+                                     &o.conf, &o.fallbacks, threads);
+    o.masked_flags.assign(n, 1);
+    o.masked_conf.assign(n, 0.25f);
+    ubf.detect_with_true_coordinates(o.masked_flags, &alive, &dirty,
+                                     &o.masked_conf, &o.masked_fallbacks,
+                                     threads);
+    return o;
+  };
+  const Outcome serial = run(1);
+  ASSERT_GT(serial.fallbacks, 0u) << "the fallback count is not exercised";
+  ASSERT_GT(std::count(serial.flags.begin(), serial.flags.end(), 1), 0);
+  std::size_t plain_fallbacks = 0;
+  std::vector<float> plain_conf;
+  const std::vector<bool> plain =
+      ubf.detect_with_true_coordinates(&plain_fallbacks, &alive, &plain_conf);
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(plain[v], serial.flags[v] != 0) << v;
+  }
+  EXPECT_EQ(plain_conf, serial.conf);
+  EXPECT_EQ(plain_fallbacks, serial.fallbacks);
+  for (const unsigned threads : {2u, 8u}) {
+    const Outcome got = run(threads);
+    EXPECT_EQ(got.flags, serial.flags) << threads << " threads";
+    EXPECT_EQ(got.conf, serial.conf) << threads << " threads";
+    EXPECT_EQ(got.fallbacks, serial.fallbacks) << threads << " threads";
+    EXPECT_EQ(got.masked_flags, serial.masked_flags) << threads << " threads";
+    EXPECT_EQ(got.masked_conf, serial.masked_conf) << threads << " threads";
+    EXPECT_EQ(got.masked_fallbacks, serial.masked_fallbacks)
+        << threads << " threads";
   }
 }
 
